@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tfet_bench::experiments as exp;
-use tfet_sram::montecarlo::mc_wl_crit;
+use tfet_sram::montecarlo::{mc_wl_crit_with, McConfig};
 use tfet_sram::prelude::*;
 
 fn bench(c: &mut Criterion) {
@@ -14,7 +14,12 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig09_mc_write");
     g.sample_size(10);
     g.bench_function("mc_wl_crit_4_samples", |b| {
-        b.iter(|| black_box(mc_wl_crit(&params, Some(WriteAssist::GndRaising), 4, 7).unwrap()))
+        b.iter(|| {
+            black_box(
+                mc_wl_crit_with(&params, Some(WriteAssist::GndRaising), 4, McConfig::new(7))
+                    .unwrap(),
+            )
+        })
     });
     g.finish();
 }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tfet_bench::experiments as exp;
-use tfet_sram::montecarlo::mc_drnm;
+use tfet_sram::montecarlo::{mc_drnm_with, McConfig};
 use tfet_sram::prelude::*;
 
 fn bench(c: &mut Criterion) {
@@ -14,7 +14,11 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig10_mc_read");
     g.sample_size(10);
     g.bench_function("mc_drnm_8_samples", |b| {
-        b.iter(|| black_box(mc_drnm(&params, Some(ReadAssist::GndLowering), 8, 7).unwrap()))
+        b.iter(|| {
+            black_box(
+                mc_drnm_with(&params, Some(ReadAssist::GndLowering), 8, McConfig::new(7)).unwrap(),
+            )
+        })
     });
     g.finish();
 }

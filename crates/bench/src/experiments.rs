@@ -14,7 +14,7 @@ use tfet_sram::area::area_of;
 use tfet_sram::compare::Design;
 use tfet_sram::explore::{beta_sweep, corner_score, ra_tradeoff, wa_tradeoff};
 use tfet_sram::metrics::{read_metrics, static_power, wl_crit, write_delay, WlCrit};
-use tfet_sram::montecarlo::{mc_drnm, mc_wl_crit};
+use tfet_sram::montecarlo::{mc_drnm_with, mc_wl_crit_with, McConfig};
 use tfet_sram::prelude::*;
 use tfet_sram::rare_event::{yield_read, VariationModel, YieldConfig};
 
@@ -285,7 +285,7 @@ pub fn fig09(n: usize, seed: u64) -> Table {
     let mut base = inp_cell(2.0);
     base.sim.max_pulse = 12e-9;
     for wa in WriteAssist::ALL {
-        let mc = mc_wl_crit(&base, Some(wa), n, seed).expect("MC WL_crit");
+        let mc = mc_wl_crit_with(&base, Some(wa), n, McConfig::new(seed)).expect("MC WL_crit");
         let fail = mc.failure_rate() * 100.0;
         if mc.values.is_empty() {
             t.push_row(vec![
@@ -309,7 +309,7 @@ pub fn fig09(n: usize, seed: u64) -> Table {
         }
     }
     // Fig. 9(d): DRNM of the WA-sized cell is hardly influenced.
-    let drnm = mc_drnm(&base, None, n, seed).expect("MC DRNM");
+    let drnm = mc_drnm_with(&base, None, n, McConfig::new(seed)).expect("MC DRNM");
     let s = Summary::of(&drnm.values);
     t.push_row(vec![
         "DRNM".into(),
@@ -333,7 +333,7 @@ pub fn fig10(n: usize, seed: u64) -> Table {
     );
     let base = inp_cell(0.6);
     for ra in ReadAssist::ALL {
-        let drnm = mc_drnm(&base, Some(ra), n, seed).expect("MC DRNM");
+        let drnm = mc_drnm_with(&base, Some(ra), n, McConfig::new(seed)).expect("MC DRNM");
         let s = Summary::of(&drnm.values);
         t.push_row(vec![
             "DRNM".into(),
@@ -343,7 +343,7 @@ pub fn fig10(n: usize, seed: u64) -> Table {
             format!("{:.1}", s.cv() * 100.0),
         ]);
     }
-    let mc = mc_wl_crit(&base, None, n, seed).expect("MC WL_crit");
+    let mc = mc_wl_crit_with(&base, None, n, McConfig::new(seed)).expect("MC WL_crit");
     let s = Summary::of(&mc.values);
     t.push_row(vec![
         "WL_crit".into(),
@@ -355,7 +355,8 @@ pub fn fig10(n: usize, seed: u64) -> Table {
     t.note("paper shape: DRNM minimally impacted for all RA; WL_crit spread much smaller than in the WA case");
     // Attach a text histogram of the winning technique for visual parity
     // with the paper's panels.
-    let gnd = mc_drnm(&base, Some(ReadAssist::GndLowering), n, seed).expect("MC DRNM");
+    let gnd = mc_drnm_with(&base, Some(ReadAssist::GndLowering), n, McConfig::new(seed))
+        .expect("MC DRNM");
     let gnd = gnd.values;
     if gnd.iter().any(|&v| v != gnd[0]) {
         let h = Histogram::from_data(&gnd, 8);

@@ -8,19 +8,43 @@
 //!
 //! This lives in an integration test because it installs a counting global
 //! allocator, which needs `unsafe` (the library itself forbids it).
+//!
+//! The allocator is process-wide but the tests in this file run
+//! concurrently, so counting is armed per thread: [`count`] tallies only
+//! the allocations made on the thread that calls it, and a sibling test's
+//! allocations never leak into another test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{Circuit, NewtonWorkspace, TransientSpec, Waveform};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Whether this thread is inside [`count`].
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while armed.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+/// Tallies one allocation if the current thread is armed. `try_with`
+/// keeps allocations during thread teardown (after the thread-locals are
+/// gone) from panicking inside the allocator.
+fn tally() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; `tally` only touches const-initialised thread-locals without
+// destructors, so it never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,13 +53,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations made on the calling thread while `f` runs.
+fn count<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    ARMED.with(|armed| armed.set(true));
+    let value = f();
+    ARMED.with(|armed| armed.set(false));
+    (value, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// A driven RC chain — nonlinear-free, but it exercises the full transient
 /// loop: companion rebuild, assemble, LU, Newton update, result push.
@@ -59,20 +92,21 @@ fn rc_chain() -> Circuit {
 
 fn run(c: &Circuit, steps: usize, ws: &mut NewtonWorkspace) -> usize {
     let spec = TransientSpec::fixed(steps as f64 * 1e-12, 1e-12);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = c
-        .transient_with(&spec, &InitialState::Uic(vec![]), ws)
-        .unwrap();
+    let (result, allocs) = count(|| {
+        c.transient_with(&spec, &InitialState::Uic(vec![]), ws)
+            .unwrap()
+    });
     assert_eq!(result.len(), steps + 1);
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocs
 }
 
 fn run_adaptive(c: &Circuit, t_stop: f64, ws: &mut NewtonWorkspace) -> usize {
     let spec = TransientSpec::new(t_stop, 1e-12);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    c.transient_with(&spec, &InitialState::Uic(vec![]), ws)
-        .unwrap();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    let (_, allocs) = count(|| {
+        c.transient_with(&spec, &InitialState::Uic(vec![]), ws)
+            .unwrap()
+    });
+    allocs
 }
 
 #[test]
@@ -83,20 +117,19 @@ fn tracing_is_disabled_by_default_and_its_off_path_never_allocates() {
     // transient tests below then prove the instrumented hot loop as a whole
     // stays allocation-free with tracing off.
     assert!(!tfet_obs::enabled(), "tracing must be opt-in");
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..1024 {
-        let _span = tfet_obs::span("hot");
-        let _root = tfet_obs::root_span("hot-root");
-        tfet_obs::counter("alloc.guard", 1);
-        tfet_obs::work("alloc.guard_work", 1);
-        tfet_obs::record_u64("alloc.guard_hist", i);
-        tfet_obs::record_f64("alloc.guard_dist", i as f64);
-        tfet_obs::record_series("alloc.guard_series", &[i as f64]);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), allocs) = count(|| {
+        for i in 0..1024 {
+            let _span = tfet_obs::span("hot");
+            let _root = tfet_obs::root_span("hot-root");
+            tfet_obs::counter("alloc.guard", 1);
+            tfet_obs::work("alloc.guard_work", 1);
+            tfet_obs::record_u64("alloc.guard_hist", i);
+            tfet_obs::record_f64("alloc.guard_dist", i as f64);
+            tfet_obs::record_series("alloc.guard_series", &[i as f64]);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "disabled instrumentation sites must not allocate"
     );
 }

@@ -1,12 +1,8 @@
 //! Fast-SPICE bitcell-array engine: real R×C transients with peripherals.
 //!
-//! [`crate::array`] simulates small arrays (≤ 64 cells) with ideal voltage
-//! sources on every line — the right tool for functional march tests, but
-//! it cannot say anything about *driver* effects (wordline slew through a
-//! real driver chain, bitline discharge through a column mux) and it
-//! recompiles one circuit per operation shape. This module is the
-//! array-scale engine: one [`ArrayNetlist`] composes R rows × C columns of
-//! the existing 6T cell with
+//! The paper characterizes a single cell; a downstream user builds
+//! *arrays*. One [`ArrayNetlist`] composes R rows × C columns of the
+//! existing 6T cell with
 //!
 //! * **shared wordlines and bitlines** — each cell placed on its row/column
 //!   lines via [`build_cell_on_lines`](crate::cell::build_cell_on_lines), so half-selection on the written
@@ -24,7 +20,9 @@
 //! operation (any row, any column, any data, any pulse width) rebinds
 //! control-source waveforms on the frozen netlist and re-runs it — no
 //! per-operation compilation, and the per-cell storage state enters
-//! through the initial conditions exactly as in [`crate::array`].
+//! through the initial conditions. After every operation the stored state
+//! of *all* cells is re-decoded, so half-select victims and destructive
+//! reads are detected, not assumed away.
 //!
 //! The engine registers one [`CellPartition`] per bitcell, so the circuit
 //! crate's quiescent-partition latency tier skips device evaluation for
@@ -50,7 +48,6 @@ use tfet_numerics::roots::{critical_threshold_checked, Threshold};
 const C_BITLINE_REF_ROWS: f64 = 64.0;
 
 /// Delay from bitline-driver engagement to the wordline-enable edge, s.
-/// Matches the [`crate::array`] operation schedule.
 const T_WL_DELAY: f64 = 50e-12;
 
 /// Lead time of the row-select lines over everything else, s — the decoder

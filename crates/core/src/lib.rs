@@ -29,8 +29,6 @@
 //!   brute force cannot reach;
 //! * [`snm`] — classical static noise margins (Seevinck butterfly), the
 //!   baseline metric family the paper's dynamic approach replaces;
-//! * [`array`](mod@array) — array-level functional simulation: shared wordlines and
-//!   bitlines, half-select physics, disturb detection;
 //! * [`array_netlist`] — the fast-SPICE array engine: R×C cells with
 //!   wordline-driver, precharge and write-mux peripherals compiled once
 //!   into a single circuit, re-run under rebound control waveforms, and
@@ -62,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod array;
 pub mod array_netlist;
 pub mod assist;
 pub mod cell;
@@ -88,8 +85,7 @@ pub mod prelude {
     pub use crate::montecarlo::{McConfig, McDrnm, McWlCrit, QuarantinedSample};
     pub use crate::ops::{ReadExperiment, WriteExperiment};
     pub use crate::rare_event::{
-        yield_read, yield_write, Factor, QuarantinedYieldSample, VariationModel, YieldConfig,
-        YieldMetric, YieldStudy,
+        yield_read, yield_write, Factor, VariationModel, YieldConfig, YieldMetric, YieldStudy,
     };
     pub use crate::tech::{
         AccessConfig, CellKind, CellParams, CellSizing, DeviceEval, SimOptions, SteppingMode,

@@ -1,11 +1,23 @@
 //! Monte-Carlo process-variation analysis (paper §4.3).
 //!
 //! The paper restricts variation to the gate-insulator thickness,
-//! "controlled to within 5 % using novel fabrication techniques", and runs
-//! Monte-Carlo over the cell to obtain `WL_crit` and DRNM distributions.
-//! [`sample_variations`] draws an independent truncated-Gaussian thickness
-//! deviation for every transistor in the cell; [`mc_wl_crit`] /
-//! [`mc_drnm`] run the metric per sample.
+//! "controlled to within 5 %", and runs Monte-Carlo over the cell to obtain
+//! `WL_crit` and DRNM distributions. That study is the brute-force case of
+//! the rare-event yield sampler: every sample draws its per-transistor
+//! process point through [`VariationModel::paper`] (an independent
+//! truncated-Gaussian thickness deviation per transistor, every other
+//! factor off) at `sigma_scale == 1`, so [`mc_wl_crit_with`] /
+//! [`mc_drnm_with`] and a paper-model [`crate::rare_event`] study sample
+//! one and the same process space.
+//!
+//! [`VariationModel::paper`]: crate::rare_event::VariationModel::paper
+//!
+//! All four studies — the two Monte-Carlo distributions here and the two
+//! yield estimates of [`crate::rare_event`] — run through one per-sample
+//! loop: a per-worker experiment compiled once and retargeted per sample,
+//! index-order outcomes, replayed quarantine. Only the folds differ: this
+//! module keeps survivor values and write failures, the yield layer keeps
+//! weighted estimates.
 //!
 //! # Parallelism and determinism
 //!
@@ -20,7 +32,7 @@
 //!
 //! A sample whose simulation fails no longer aborts the study. It is
 //! *quarantined*: excluded from the survivor statistics and recorded — with
-//! its index, the exact process point it drew, and the structured error —
+//! its index, the exact factor draws it took, and the structured error —
 //! in [`McWlCrit::quarantined`] / [`McDrnm::quarantined`], in the run
 //! report's `quarantined` section, and (when tracing is on) as a
 //! `mc_quarantine` forensics bundle. The quarantine set is deterministic:
@@ -31,13 +43,13 @@
 
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
-use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit};
+use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit, WlCritRun};
 use crate::ops::{ReadExperiment, WriteExperiment};
-use crate::tech::{CellParams, CellVariations, Role};
+use crate::rare_event::YieldConfig;
+use crate::tech::CellParams;
 use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tfet_devices::ProcessVariation;
 use tfet_numerics::parallel::par_map_with;
 
 /// The paper's fabrication-control bound: ±5 % gate-oxide thickness.
@@ -84,20 +96,6 @@ pub fn draw_truncated_normal(rng: &mut StdRng, sigma: f64, bound: f64) -> f64 {
     let mass = tfet_numerics::gaussian_mass_within(sigma, bound);
     let lo = tfet_numerics::norm_cdf(-bound / sigma);
     (sigma * tfet_numerics::inv_norm_cdf(lo + u * mass)).clamp(-bound, bound)
-}
-
-/// Draws a truncated-Gaussian deviation in `[-TOX_BOUND, TOX_BOUND]`.
-fn draw_deviation(rng: &mut StdRng) -> f64 {
-    draw_truncated_normal(rng, TOX_SIGMA, TOX_BOUND)
-}
-
-/// Draws an independent process point for every transistor role.
-pub fn sample_variations(rng: &mut StdRng) -> CellVariations {
-    let mut v = CellVariations::nominal();
-    for role in Role::ALL {
-        v = v.with(role, ProcessVariation::from_deviation(draw_deviation(rng)));
-    }
-    v
 }
 
 /// Execution controls for a Monte-Carlo study.
@@ -167,19 +165,23 @@ impl Default for McConfig {
     }
 }
 
-/// One quarantined Monte-Carlo sample: a sample whose simulation failed and
-/// was excluded from the survivor statistics instead of aborting the study.
+/// One quarantined sample of a Monte-Carlo or yield study: a sample that
+/// produced no verdict and was excluded from the statistics instead of
+/// aborting the study.
 ///
 /// The `(study seed, index)` pair replays the sample's private RNG stream,
-/// so `variations` is the *exact* process point the failing simulation saw —
+/// so `params` are the *exact* factor draws the failing sample took —
 /// enough to re-run it in isolation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedSample {
     /// Sample index within the study.
     pub index: usize,
-    /// The per-transistor process point the sample drew.
-    pub variations: CellVariations,
-    /// Why the sample was excluded.
+    /// Labeled factor draws in draw order, active factors only:
+    /// `global.<factor>` for chip-global terms, `<role>.<factor>` per
+    /// transistor (`pull_up_left.tox`, …).
+    pub params: Vec<(String, f64)>,
+    /// Why the sample was excluded: an out-of-validity-range draw or a
+    /// failed simulation.
     pub error: SramError,
 }
 
@@ -246,63 +248,159 @@ fn yield_fraction(survivors: usize, total: usize) -> f64 {
     }
 }
 
-/// Replays a failed sample's RNG stream to recover the exact process point
-/// it drew — cheaper than shipping the draw back from the worker, and
-/// identical because the stream depends only on `(seed, index)`.
-fn quarantined_sample(config: &McConfig, index: usize, error: SramError) -> QuarantinedSample {
-    let mut rng = config.sample_rng(index);
-    QuarantinedSample {
-        index,
-        variations: sample_variations(&mut rng),
-        error,
+/// The sampling plan of a Monte-Carlo study: `n` brute-force samples of the
+/// paper's t_ox-only model under the study's execution controls.
+fn paper_plan(n: usize, config: McConfig) -> YieldConfig {
+    YieldConfig {
+        mc: config,
+        ..YieldConfig::new(n, config.seed)
     }
 }
 
-/// Splits per-sample outcomes (already in index order) into survivors and
-/// quarantined samples.
+/// Splits per-sample outcomes (already in index order) into weighted
+/// survivors and quarantined samples. A failed sample's draws are replayed
+/// from its RNG stream — cheaper than shipping them back from the worker,
+/// and identical because the stream depends only on `(seed, index)`.
 fn split_outcomes<T>(
-    config: &McConfig,
-    outcomes: Vec<Result<T, SramError>>,
-) -> (Vec<T>, Vec<QuarantinedSample>) {
+    plan: &YieldConfig,
+    outcomes: Vec<Result<(T, f64), SramError>>,
+) -> (Vec<(T, f64)>, Vec<QuarantinedSample>) {
     let mut survivors = Vec::with_capacity(outcomes.len());
     let mut quarantined = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
+    for (index, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
             Ok(v) => survivors.push(v),
-            Err(e) => quarantined.push(quarantined_sample(config, i, e)),
+            Err(error) => quarantined.push(QuarantinedSample {
+                index,
+                params: plan.replay_params(index),
+                error,
+            }),
         }
     }
     (survivors, quarantined)
 }
 
-/// Publishes quarantined samples into the observability layer: the
-/// `mc.quarantined` counter, one run-report quarantine record and one
-/// `mc_quarantine` forensics bundle per sample — emitted on the caller's
-/// thread in index order, so traces are bit-identical at any worker count.
+/// The one per-sample study loop behind every Monte-Carlo and yield study.
+///
+/// Sample `i` draws its process point from `plan.model` on its private
+/// `(seed, i)` stream at `plan.sigma_scale`. Each worker compiles its
+/// experiment once on its first sample (`compile`) and retargets it per
+/// sample (`bind`) — the compiled circuit is a pure cache (waveforms and
+/// initial conditions depend only on the shared supply/timing, never on
+/// the process point), so values stay bit-identical to a build-per-sample
+/// loop at any thread count. `measure` runs the metric on the bound
+/// experiment. Survivors come back in index order with their importance
+/// weights; failed samples are quarantined.
+pub(crate) fn run_samples<E, T: Send>(
+    base: &CellParams,
+    plan: &YieldConfig,
+    span: &'static str,
+    compile: impl Fn(&CellParams) -> Result<E, SramError> + Sync,
+    bind: impl Fn(&mut E, &CellParams) -> Result<(), SramError> + Sync,
+    measure: impl Fn(&mut E) -> Result<T, SramError> + Sync,
+) -> (Vec<(T, f64)>, Vec<QuarantinedSample>) {
+    let outcomes = par_map_with(
+        plan.n,
+        plan.mc.threads,
+        || None,
+        |slot: &mut Option<E>, i| {
+            // A *root* span: at one worker the sample runs inline on the
+            // caller's thread (under the study's span), at many it runs on
+            // a fresh thread — pinning the path keeps the span tree
+            // thread-count invariant.
+            let _span = tfet_obs::root_span(span);
+            let result = (|| {
+                let mut rng = plan.mc.sample_rng(i);
+                let (process, weight) = plan.model.draw(&mut rng, plan.sigma_scale, base.vdd)?;
+                let params = base.clone().with_process(process);
+                let exp = match slot {
+                    Some(exp) => {
+                        bind(exp, &params)?;
+                        exp
+                    }
+                    None => slot.insert(compile(&params)?),
+                };
+                Ok((measure(exp)?, weight))
+            })();
+            if result.is_err() {
+                // A failed sample must not poison the worker's compiled
+                // cache: later samples have to behave exactly as they would
+                // on a fresh worker, whatever the scheduling.
+                *slot = None;
+            }
+            result
+        },
+    );
+    split_outcomes(plan, outcomes)
+}
+
+/// The nominal cell's `WL_crit`, used to seed every sample's bisection:
+/// process variation perturbs `WL_crit` by a few percent, so the nominal
+/// value lands each sample's search in a narrow bracket. Computed once,
+/// before the fan-out, and shared by all samples — never chained sample to
+/// sample — so results stay bit-identical at any thread count. A failing
+/// or unbracketable nominal cell yields no hint and samples fall back to
+/// the cold search.
+pub(crate) fn nominal_hint(
+    topo: &CellTopology,
+    base: &CellParams,
+    assist: Option<WriteAssist>,
+) -> Option<f64> {
+    WriteExperiment::compile_on(topo, base, assist)
+        .ok()
+        .and_then(|mut exp| wl_crit_compiled(&mut exp, None).ok())
+        .and_then(|run| run.value.as_finite())
+}
+
+/// A sample's `WL_crit` verdict. An unbracketable search is a failed
+/// sample, not a verdict: it surfaces its recorded cause for quarantine, so
+/// an `Ok` verdict is always finite or infinite.
+pub(crate) fn wl_crit_verdict(run: WlCritRun) -> Result<WlCrit, SramError> {
+    match run.value {
+        WlCrit::Unbracketable => Err(run.failure.unwrap_or_else(|| SramError::Undefined {
+            metric: "WL_crit",
+            reason: "unbracketable search with no recorded cause".into(),
+        })),
+        value => Ok(value),
+    }
+}
+
+/// Publishes one run-report quarantine record per sample — from the
+/// caller's thread in index order, so traces are bit-identical at any
+/// worker count.
+pub(crate) fn publish_quarantine_records(
+    study: &'static str,
+    seed: u64,
+    quarantined: &[QuarantinedSample],
+) {
+    for q in quarantined {
+        tfet_obs::quarantine(tfet_obs::QuarantineRecord {
+            study,
+            index: q.index as u64,
+            seed,
+            params: q.params.clone(),
+            error: q.error.to_string(),
+        });
+    }
+}
+
+/// Publishes a Monte-Carlo study's quarantine: the `mc.quarantined`
+/// counter, the run-report records, and one `mc_quarantine` forensics
+/// bundle per sample.
 fn publish_quarantine(study: &'static str, config: &McConfig, quarantined: &[QuarantinedSample]) {
     if quarantined.is_empty() || !tfet_obs::enabled() {
         return;
     }
     tfet_obs::counter("mc.quarantined", quarantined.len() as u64);
+    publish_quarantine_records(study, config.seed, quarantined);
     for q in quarantined {
-        let params: Vec<(String, f64)> = Role::ALL
-            .iter()
-            .map(|&role| (role.label().to_string(), q.variations.of(role).deviation()))
-            .collect();
-        tfet_obs::quarantine(tfet_obs::QuarantineRecord {
-            study,
-            index: q.index as u64,
-            seed: config.seed,
-            params: params.clone(),
-            error: q.error.to_string(),
-        });
         tfet_obs::forensics::submit(
             &tfet_obs::forensics::Bundle::new("mc_quarantine")
                 .text("study", study)
                 .int("sample_index", q.index as u64)
                 .int("seed", config.seed)
                 .text("error", q.error.to_string())
-                .named_nums("tox_deviations", &params),
+                .named_nums("params", &q.params),
         );
     }
 }
@@ -324,34 +422,16 @@ pub(crate) fn check_yield(
     Ok(())
 }
 
-/// Runs an `n`-sample Monte-Carlo of `WL_crit` with the given assist.
-/// Deterministic for a fixed `seed`; equivalent to [`mc_wl_crit_with`] with
-/// default threading.
-///
-/// # Errors
-///
-/// Never errors on per-sample simulation failures — those samples are
-/// quarantined (an *infinite* `WL_crit` is a data point, not an error, and
-/// not a quarantine either). The default configuration has `min_yield = 0`,
-/// so [`SramError::LowYield`] cannot occur here.
-pub fn mc_wl_crit(
-    base: &CellParams,
-    assist: Option<WriteAssist>,
-    n: usize,
-    seed: u64,
-) -> Result<McWlCrit, SramError> {
-    mc_wl_crit_with(base, assist, n, McConfig::new(seed))
-}
-
 /// Runs an `n`-sample Monte-Carlo of `WL_crit` under explicit execution
 /// controls. Samples fan out over [`McConfig::threads`] workers; the result
 /// is bit-identical at any thread count (see the module docs).
 ///
 /// # Errors
 ///
-/// Per-sample simulation failures are quarantined, not propagated. Returns
-/// [`SramError::LowYield`] when the fraction of samples producing a verdict
-/// falls below [`McConfig::min_yield`].
+/// Per-sample simulation failures are quarantined, not propagated (an
+/// *infinite* `WL_crit` is a data point, not an error, and not a quarantine
+/// either). Returns [`SramError::LowYield`] when the fraction of samples
+/// producing a verdict falls below [`McConfig::min_yield`].
 pub fn mc_wl_crit_with(
     base: &CellParams,
     assist: Option<WriteAssist>,
@@ -363,8 +443,8 @@ pub fn mc_wl_crit_with(
 
 /// [`mc_wl_crit_with`] for an explicit topology — Monte-Carlo `WL_crit` on
 /// a cell that exists only as an imported `.subckt`. Variations bind to
-/// devices by [`Role`], so an imported 6T sees exactly the process space a
-/// generated one does.
+/// devices by [`Role`](crate::tech::Role), so an imported 6T sees exactly
+/// the process space a generated one does.
 ///
 /// # Errors
 ///
@@ -377,74 +457,29 @@ pub fn mc_wl_crit_topo(
     config: McConfig,
 ) -> Result<McWlCrit, SramError> {
     let _span = tfet_obs::span("mc_wl_crit");
-    // Seed every sample's bisection from the *nominal* cell's answer: ±5 %
-    // t_ox perturbs WL_crit by a few percent, so the nominal value lands each
-    // sample's search in a narrow bracket. The hint is computed once, before
-    // the fan-out, and shared by all samples — never chained sample to
-    // sample — so results stay bit-identical at any thread count. A failing
-    // or unbracketable nominal cell yields no hint and samples fall back to
-    // the cold search.
-    let hint = WriteExperiment::compile_on(topo, base, assist)
-        .ok()
-        .and_then(|mut exp| wl_crit_compiled(&mut exp, None).ok())
-        .and_then(|run| run.value.as_finite());
-    // Each worker compiles the write experiment once on its first sample and
-    // retargets it per sample through device binds — the compiled circuit is
-    // a pure cache (waveforms and initial conditions depend only on the
-    // shared supply/timing, never on the variations), so values stay
-    // bit-identical to a build-per-sample loop at any thread count.
-    let outcomes = par_map_with(
-        n,
-        config.threads,
-        || None,
-        |slot: &mut Option<WriteExperiment>, i| {
-            // A *root* span: at one worker the sample runs inline on the
-            // caller's thread (under the "mc_wl_crit" span), at many it runs
-            // on a fresh thread — pinning the path keeps the span tree
-            // thread-count invariant.
-            let _span = tfet_obs::root_span("mc_sample_wl_crit");
-            let result = (|| {
-                let mut rng = config.sample_rng(i);
-                let params = base.clone().with_variations(sample_variations(&mut rng));
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(WriteExperiment::compile_on(topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                let run = wl_crit_compiled(exp, hint)?;
-                // Per-sample solve cost: how much Newton effort one MC sample
-                // charges, as a histogram so outlier samples stand out.
-                tfet_obs::record_u64("mc.sample_newton_solves", run.effort.newton_solves);
-                tfet_obs::record_u64("mc.sample_newton_iters", run.effort.newton_iters);
-                match run.value {
-                    // An unbracketable search is a failed sample, not a
-                    // verdict — surface its recorded cause for quarantine.
-                    WlCrit::Unbracketable => {
-                        Err(run.failure.unwrap_or_else(|| SramError::Undefined {
-                            metric: "WL_crit",
-                            reason: "unbracketable search with no recorded cause".into(),
-                        }))
-                    }
-                    value => Ok(value),
-                }
-            })();
-            if result.is_err() {
-                // A failed sample must not poison the worker's compiled
-                // cache: later samples have to behave exactly as they would
-                // on a fresh worker, whatever the scheduling.
-                *slot = None;
-            }
-            result
+    let hint = nominal_hint(topo, base, assist);
+    let (verdicts, quarantined) = run_samples(
+        base,
+        &paper_plan(n, config),
+        "mc_sample_wl_crit",
+        |params| WriteExperiment::compile_on(topo, params, assist),
+        WriteExperiment::bind_cell,
+        |exp| {
+            let run = wl_crit_compiled(exp, hint)?;
+            // Per-sample solve cost: how much Newton effort one MC sample
+            // charges, as a histogram so outlier samples stand out.
+            tfet_obs::record_u64("mc.sample_newton_solves", run.effort.newton_solves);
+            tfet_obs::record_u64("mc.sample_newton_iters", run.effort.newton_iters);
+            wl_crit_verdict(run)
         },
     );
-    let (verdicts, quarantined) = split_outcomes(&config, outcomes);
     let mut values = Vec::with_capacity(verdicts.len());
     let mut failures = 0;
-    for verdict in verdicts {
+    for (verdict, _) in verdicts {
         match verdict {
             WlCrit::Finite(w) => values.push(w),
             WlCrit::Infinite => failures += 1,
-            WlCrit::Unbracketable => unreachable!("mapped to Err in the sample closure"),
+            WlCrit::Unbracketable => unreachable!("quarantined by wl_crit_verdict"),
         }
     }
     publish_quarantine("mc_wl_crit", &config, &quarantined);
@@ -454,24 +489,6 @@ pub fn mc_wl_crit_topo(
         failures,
         quarantined,
     })
-}
-
-/// Runs an `n`-sample Monte-Carlo of the DRNM with the given assist.
-/// Deterministic for a fixed `seed`; equivalent to [`mc_drnm_with`] with
-/// default threading.
-///
-/// # Errors
-///
-/// Never errors on per-sample simulation failures — those samples are
-/// quarantined. The default configuration has `min_yield = 0`, so
-/// [`SramError::LowYield`] cannot occur here.
-pub fn mc_drnm(
-    base: &CellParams,
-    assist: Option<ReadAssist>,
-    n: usize,
-    seed: u64,
-) -> Result<McDrnm, SramError> {
-    mc_drnm_with(base, assist, n, McConfig::new(seed))
 }
 
 /// Runs an `n`-sample Monte-Carlo of the DRNM under explicit execution
@@ -505,35 +522,15 @@ pub fn mc_drnm_topo(
     config: McConfig,
 ) -> Result<McDrnm, SramError> {
     let _span = tfet_obs::span("mc_drnm");
-    // Per-worker compiled read experiment, retargeted per sample via device
-    // binds — see `mc_wl_crit_with` for why this cannot change the values.
-    let outcomes = par_map_with(
-        n,
-        config.threads,
-        || None,
-        |slot: &mut Option<ReadExperiment>, i| {
-            // Root span for thread-count-invariant paths; see
-            // `mc_wl_crit_with`.
-            let _span = tfet_obs::root_span("mc_sample_drnm");
-            let result = (|| {
-                let mut rng = config.sample_rng(i);
-                let params = base.clone().with_variations(sample_variations(&mut rng));
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(ReadExperiment::compile_on(topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                read_metrics_compiled(exp).map(|m| m.drnm)
-            })();
-            if result.is_err() {
-                // See `mc_wl_crit_with`: never reuse a cache a failed
-                // sample may have left half-bound.
-                *slot = None;
-            }
-            result
-        },
+    let (survivors, quarantined) = run_samples(
+        base,
+        &paper_plan(n, config),
+        "mc_sample_drnm",
+        |params| ReadExperiment::compile_on(topo, params, assist),
+        ReadExperiment::bind_cell,
+        |exp| read_metrics_compiled(exp).map(|m| m.drnm),
     );
-    let (values, quarantined) = split_outcomes(&config, outcomes);
+    let values: Vec<f64> = survivors.into_iter().map(|(v, _)| v).collect();
     publish_quarantine("mc_drnm", &config, &quarantined);
     check_yield(values.len(), n, &config)?;
     Ok(McDrnm {
@@ -545,7 +542,9 @@ pub fn mc_drnm_topo(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tech::{AccessConfig, CellKind};
+    use crate::rare_event::VariationModel;
+    use crate::tech::{AccessConfig, CellKind, CellProcess, Role};
+    use tfet_devices::ProcessPoint;
     use tfet_numerics::Summary;
 
     fn fast(params: CellParams) -> CellParams {
@@ -555,11 +554,24 @@ mod tests {
         p
     }
 
+    /// Rebuilds the per-role process point from a paper-model quarantine
+    /// record's draws — one `<role>.tox` deviation per transistor.
+    fn replayed_process(q: &QuarantinedSample) -> CellProcess {
+        assert_eq!(q.params.len(), Role::ALL.len());
+        Role::ALL.into_iter().zip(&q.params).fold(
+            CellProcess::nominal(),
+            |process, (role, (label, dev))| {
+                assert_eq!(label, &format!("{}.tox", role.label()));
+                process.with(role, ProcessPoint::try_new(*dev, 0.0, 0.0).unwrap())
+            },
+        )
+    }
+
     #[test]
     fn deviations_respect_bound() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..2000 {
-            let d = draw_deviation(&mut rng);
+            let d = draw_truncated_normal(&mut rng, TOX_SIGMA, TOX_BOUND);
             assert!(d.abs() <= TOX_BOUND);
         }
     }
@@ -567,7 +579,9 @@ mod tests {
     #[test]
     fn deviations_have_expected_spread() {
         let mut rng = StdRng::seed_from_u64(11);
-        let draws: Vec<f64> = (0..4000).map(|_| draw_deviation(&mut rng)).collect();
+        let draws: Vec<f64> = (0..4000)
+            .map(|_| draw_truncated_normal(&mut rng, TOX_SIGMA, TOX_BOUND))
+            .collect();
         let s = Summary::of(&draws);
         assert!(s.mean.abs() < 0.003, "mean = {}", s.mean);
         assert!((s.std_dev - TOX_SIGMA).abs() < 0.005, "std = {}", s.std_dev);
@@ -610,10 +624,9 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
-        let va = sample_variations(&mut a);
-        let vb = sample_variations(&mut b);
+        let model = VariationModel::paper();
+        let va = model.sample(&McConfig::new(42), 0, 0.8).unwrap();
+        let vb = model.sample(&McConfig::new(42), 0, 0.8).unwrap();
         for role in Role::ALL {
             assert_eq!(va.of(role), vb.of(role));
         }
@@ -621,9 +634,10 @@ mod tests {
 
     #[test]
     fn samples_differ_across_roles() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let v = sample_variations(&mut rng);
-        let devs: Vec<f64> = Role::ALL.iter().map(|&r| v.of(r).deviation()).collect();
+        let v = VariationModel::paper()
+            .sample(&McConfig::new(1), 0, 0.8)
+            .unwrap();
+        let devs: Vec<f64> = Role::ALL.iter().map(|&r| v.of(r).tox.deviation()).collect();
         let distinct = devs
             .iter()
             .filter(|&&d| (d - devs[0]).abs() > 1e-12)
@@ -657,7 +671,7 @@ mod tests {
     fn mc_drnm_spreads_but_stays_positive() {
         // Paper Fig. 10: DRNM under RA sizing is minimally impacted.
         let p = fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6));
-        let mc = mc_drnm(&p, Some(ReadAssist::GndLowering), 12, 3).unwrap();
+        let mc = mc_drnm_with(&p, Some(ReadAssist::GndLowering), 12, McConfig::new(3)).unwrap();
         assert_eq!(mc.values.len(), 12);
         assert!(
             mc.quarantined.is_empty(),
@@ -676,7 +690,7 @@ mod tests {
     #[test]
     fn mc_wl_crit_produces_finite_values_for_writable_cell() {
         let p = fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6));
-        let mc = mc_wl_crit(&p, None, 8, 5).unwrap();
+        let mc = mc_wl_crit_with(&p, None, 8, McConfig::new(5)).unwrap();
         assert_eq!(mc.values.len() + mc.failures, 8);
         assert_eq!(mc.failures, 0, "β=0.6 writes must survive ±5% t_ox");
         assert!(mc.failure_rate() == 0.0);
@@ -694,7 +708,7 @@ mod tests {
         // degrade to a complete, structured quarantine instead of aborting
         // (it used to return the first sample's error).
         let p = fast(CellParams::new(CellKind::TfetAsym6T));
-        let mc = mc_wl_crit(&p, None, 3, 5).unwrap();
+        let mc = mc_wl_crit_with(&p, None, 3, McConfig::new(5)).unwrap();
         assert!(mc.values.is_empty());
         assert_eq!(mc.failures, 0);
         assert_eq!(mc.quarantined.len(), 3);
@@ -712,9 +726,9 @@ mod tests {
                 "structured cause, got {:?}",
                 q.error
             );
-            // The recorded process point replays the sample's RNG stream.
-            let mut rng = McConfig::new(5).sample_rng(i);
-            assert_eq!(q.variations, sample_variations(&mut rng));
+            // The recorded draws replay the sample's RNG stream.
+            let drawn = VariationModel::paper().sample(&McConfig::new(5), i, p.vdd);
+            assert_eq!(replayed_process(q), drawn.unwrap());
         }
         // Survivor statistics degrade cleanly to "no data", not a panic.
         assert!(Summary::try_of(&mc.values).is_none());
@@ -751,17 +765,17 @@ mod tests {
         // The fold itself, on synthetic outcomes: survivors keep their order,
         // failures quarantine at their own index with their own draw.
         let config = McConfig::new(7);
-        let outcomes: Vec<Result<f64, SramError>> = vec![
-            Ok(1.0),
+        let outcomes: Vec<Result<(f64, f64), SramError>> = vec![
+            Ok((1.0, 1.0)),
             Err(SramError::InvalidParameter("boom".into())),
-            Ok(2.0),
+            Ok((2.0, 1.0)),
         ];
-        let (survivors, quarantined) = split_outcomes(&config, outcomes);
-        assert_eq!(survivors, vec![1.0, 2.0]);
+        let (survivors, quarantined) = split_outcomes(&paper_plan(3, config), outcomes);
+        assert_eq!(survivors, vec![(1.0, 1.0), (2.0, 1.0)]);
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].index, 1);
-        let mut rng = config.sample_rng(1);
-        assert_eq!(quarantined[0].variations, sample_variations(&mut rng));
+        let drawn = VariationModel::paper().sample(&config, 1, 0.8);
+        assert_eq!(replayed_process(&quarantined[0]), drawn.unwrap());
         assert!(check_yield(2, 3, &config).is_ok());
         assert!(check_yield(2, 3, &config.with_min_yield(2.0 / 3.0)).is_ok());
         assert!(check_yield(2, 3, &config.with_min_yield(0.9)).is_err());

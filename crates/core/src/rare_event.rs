@@ -37,11 +37,18 @@
 //! [`VariationModel::paper`] keeps every new factor off; that default is
 //! what keeps all existing figures bit-identical.
 //!
+//! [`VariationModel`] is the one sampler of the crate: brute-force
+//! Monte-Carlo ([`crate::montecarlo`]) is its `paper()`, `sigma_scale == 1`
+//! case, and [`VariationModel::sample`] is the public way to draw a
+//! sample's [`CellProcess`] from its `(seed, index)` stream.
+//!
 //! # Determinism and degradation
 //!
-//! The sampling inherits the Monte-Carlo layer's discipline: counter-based
-//! per-sample RNG streams, outcomes folded in sample order, so estimate,
-//! standard error and ESS are bit-identical at any worker-thread count.
+//! Yield studies run through the Monte-Carlo layer's per-sample loop:
+//! counter-based per-sample RNG streams, a per-worker compiled experiment,
+//! outcomes folded in sample order — so estimate, standard error and ESS
+//! are bit-identical at any worker-thread count. Only the fold is this
+//! module's own: it weights each survivor by its likelihood ratio.
 //! A draw outside a factor's perturbative validity bound — expected when
 //! `sigma_scale` pushes a wide-bound factor past the device model's range —
 //! surfaces as a typed [`VariationError`](tfet_devices::VariationError),
@@ -51,13 +58,15 @@
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
 use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit};
-use crate::montecarlo::{check_yield, draw_truncated_normal, McConfig, TOX_BOUND, TOX_SIGMA};
+use crate::montecarlo::{
+    check_yield, draw_truncated_normal, nominal_hint, publish_quarantine_records, run_samples,
+    wl_crit_verdict, McConfig, QuarantinedSample, TOX_BOUND, TOX_SIGMA,
+};
 use crate::ops::{ReadExperiment, WriteExperiment};
 use crate::tech::{CellParams, CellProcess, Role};
 use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use tfet_devices::ProcessPoint;
-use tfet_numerics::parallel::par_map_with;
 use tfet_numerics::{gaussian_mass_within, WeightedSummary};
 
 /// One independent variation factor: a centered Gaussian with standard
@@ -149,7 +158,7 @@ pub struct VariationModel {
 impl VariationModel {
     /// The paper-faithful model: ±5 % t_ox per transistor (σ = 2.5 %,
     /// truncated at 2σ), every other factor off. With this model and
-    /// `sigma_scale == 1`, a yield study samples exactly the process space
+    /// `sigma_scale == 1`, a yield study *is* the brute-force Monte-Carlo
     /// of [`crate::montecarlo`].
     pub fn paper() -> Self {
         VariationModel {
@@ -258,6 +267,46 @@ impl VariationModel {
             process = process.with(role, point);
         }
         Ok(process)
+    }
+
+    /// Draws one sample's per-transistor process points and importance
+    /// weight from the σ-scaled proposal.
+    pub(crate) fn draw(
+        &self,
+        rng: &mut StdRng,
+        scale: f64,
+        vdd: f64,
+    ) -> Result<(CellProcess, f64), SramError> {
+        let raw = self.draw_raw(rng, scale);
+        Ok((self.build_process(&raw, vdd)?, raw.weight))
+    }
+
+    /// Draws sample `index` of a brute-force study seeded by `config`: the
+    /// per-transistor process points a Monte-Carlo or unscaled yield study
+    /// of this model evaluates for that sample, on a cell at supply `vdd`.
+    ///
+    /// ```
+    /// use tfet_sram::montecarlo::McConfig;
+    /// use tfet_sram::rare_event::VariationModel;
+    ///
+    /// let model = VariationModel::paper();
+    /// let a = model.sample(&McConfig::new(42), 3, 0.8)?;
+    /// assert_eq!(a, model.sample(&McConfig::new(42), 3, 0.8)?);
+    /// # Ok::<(), tfet_sram::SramError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`SramError::InvalidParameter`] when a draw falls outside the device
+    /// model's perturbative range (see [`ProcessPoint::try_new`]).
+    pub fn sample(
+        &self,
+        config: &McConfig,
+        index: usize,
+        vdd: f64,
+    ) -> Result<CellProcess, SramError> {
+        self.draw(&mut config.sample_rng(index), 1.0, vdd)
+            .map(|(process, _)| process)
     }
 
     /// The labeled draw list of a sample, for quarantine records — active
@@ -369,6 +418,14 @@ impl YieldConfig {
         self
     }
 
+    /// Replays sample `index`'s private stream to recover its labeled draws.
+    pub(crate) fn replay_params(&self, index: usize) -> Vec<(String, f64)> {
+        let raw = self
+            .model
+            .draw_raw(&mut self.mc.sample_rng(index), self.sigma_scale);
+        self.model.labeled_params(&raw)
+    }
+
     fn validate(&self) -> Result<(), SramError> {
         if !(self.sigma_scale.is_finite() && self.sigma_scale >= 1.0) {
             return Err(SramError::InvalidParameter(format!(
@@ -383,19 +440,6 @@ impl YieldConfig {
         }
         self.model.validate()
     }
-}
-
-/// One quarantined yield sample: its index, the labeled factor draws it
-/// took (replayed from its RNG stream), and the structured cause.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuarantinedYieldSample {
-    /// Sample index within the study.
-    pub index: usize,
-    /// Labeled factor draws, in draw order (active factors only).
-    pub params: Vec<(String, f64)>,
-    /// Why the sample was excluded: an out-of-validity-range draw or a
-    /// failed simulation.
-    pub error: SramError,
 }
 
 /// Result of a rare-event yield study.
@@ -426,7 +470,7 @@ pub struct YieldStudy {
     /// V) over survivors; `None` when none is finite.
     pub metric_summary: Option<WeightedSummary>,
     /// Samples excluded from the estimate.
-    pub quarantined: Vec<QuarantinedYieldSample>,
+    pub quarantined: Vec<QuarantinedSample>,
 }
 
 impl YieldStudy {
@@ -457,10 +501,8 @@ pub fn array_yield(p_cell: f64, cells: u64) -> f64 {
     1.0 - array_fail_prob(p_cell, cells)
 }
 
-/// One sample's verdict inside a worker.
-struct SampleOutcome {
-    /// Importance weight of the draw.
-    weight: f64,
+/// One surviving sample's verdict.
+struct Verdict {
     /// Whether the sample fails the metric.
     fail: bool,
     /// Finite metric value (WL_crit s / DRNM V), when one exists.
@@ -491,57 +533,35 @@ pub fn yield_write(
     }
     let _span = tfet_obs::span("yield_write");
     let topo = CellTopology::builtin(base.kind);
-    // Nominal bisection hint, as in `mc_wl_crit_topo`: computed once before
-    // the fan-out, shared by every sample.
-    let hint = WriteExperiment::compile_on(&topo, base, assist)
-        .ok()
-        .and_then(|mut exp| wl_crit_compiled(&mut exp, None).ok())
-        .and_then(|run| run.value.as_finite());
-    let metric = YieldMetric::WriteMargin { budget };
-    let outcomes = par_map_with(
-        cfg.n,
-        cfg.mc.threads,
-        || None,
-        |slot: &mut Option<WriteExperiment>, i| {
-            let _span = tfet_obs::root_span("yield_sample_write");
-            let result = (|| {
-                let mut rng = cfg.mc.sample_rng(i);
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                let process = cfg.model.build_process(&raw, base.vdd)?;
-                let params = base.clone().with_process(process);
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(WriteExperiment::compile_on(&topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                let run = wl_crit_compiled(exp, hint)?;
-                tfet_obs::record_u64("yield.sample_newton_solves", run.effort.newton_solves);
-                match run.value {
-                    WlCrit::Finite(w) => Ok(SampleOutcome {
-                        weight: raw.weight,
-                        fail: w > budget,
-                        value: Some(w),
-                    }),
-                    WlCrit::Infinite => Ok(SampleOutcome {
-                        weight: raw.weight,
-                        fail: true,
-                        value: None,
-                    }),
-                    WlCrit::Unbracketable => {
-                        Err(run.failure.unwrap_or_else(|| SramError::Undefined {
-                            metric: "WL_crit",
-                            reason: "unbracketable search with no recorded cause".into(),
-                        }))
-                    }
-                }
-            })();
-            if result.is_err() {
-                *slot = None;
-            }
-            result
+    let hint = nominal_hint(&topo, base, assist);
+    let samples = run_samples(
+        base,
+        cfg,
+        "yield_sample_write",
+        |params| WriteExperiment::compile_on(&topo, params, assist),
+        WriteExperiment::bind_cell,
+        |exp| {
+            let run = wl_crit_compiled(exp, hint)?;
+            tfet_obs::record_u64("yield.sample_newton_solves", run.effort.newton_solves);
+            Ok(match wl_crit_verdict(run)? {
+                WlCrit::Finite(w) => Verdict {
+                    fail: w > budget,
+                    value: Some(w),
+                },
+                // An unwritable cell always fails.
+                _ => Verdict {
+                    fail: true,
+                    value: None,
+                },
+            })
         },
     );
-    fold_study("yield_write", metric, cfg, outcomes)
+    fold_study(
+        "yield_write",
+        YieldMetric::WriteMargin { budget },
+        cfg,
+        samples,
+    )
 }
 
 /// Estimates the read-disturb tail probability: the fraction of process
@@ -565,77 +585,46 @@ pub fn yield_read(
     }
     let _span = tfet_obs::span("yield_read");
     let topo = CellTopology::builtin(base.kind);
-    let metric = YieldMetric::Drnm { threshold };
-    let outcomes = par_map_with(
-        cfg.n,
-        cfg.mc.threads,
-        || None,
-        |slot: &mut Option<ReadExperiment>, i| {
-            let _span = tfet_obs::root_span("yield_sample_read");
-            let result = (|| {
-                let mut rng = cfg.mc.sample_rng(i);
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                let process = cfg.model.build_process(&raw, base.vdd)?;
-                let params = base.clone().with_process(process);
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(ReadExperiment::compile_on(&topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                let drnm = read_metrics_compiled(exp)?.drnm;
-                Ok(SampleOutcome {
-                    weight: raw.weight,
-                    fail: drnm < threshold,
-                    value: Some(drnm),
-                })
-            })();
-            if result.is_err() {
-                *slot = None;
-            }
-            result
+    let samples = run_samples(
+        base,
+        cfg,
+        "yield_sample_read",
+        |params| ReadExperiment::compile_on(&topo, params, assist),
+        ReadExperiment::bind_cell,
+        |exp| {
+            let drnm = read_metrics_compiled(exp)?.drnm;
+            Ok(Verdict {
+                fail: drnm < threshold,
+                value: Some(drnm),
+            })
         },
     );
-    fold_study("yield_read", metric, cfg, outcomes)
+    fold_study("yield_read", YieldMetric::Drnm { threshold }, cfg, samples)
 }
 
-/// Folds per-sample outcomes (in index order) into the study estimate and
-/// publishes it into the observability layer.
+/// Folds weighted survivor verdicts (in index order) into the study
+/// estimate and publishes it into the observability layer.
 fn fold_study(
     study: &'static str,
     metric: YieldMetric,
     cfg: &YieldConfig,
-    outcomes: Vec<Result<SampleOutcome, SramError>>,
+    (survivors, quarantined): (Vec<(Verdict, f64)>, Vec<QuarantinedSample>),
 ) -> Result<YieldStudy, SramError> {
-    let n = outcomes.len();
+    let n = cfg.n;
     let mut weights = Vec::with_capacity(n);
     let mut weighted_indicators = Vec::with_capacity(n);
     let mut metric_values = Vec::with_capacity(n);
     let mut metric_weights = Vec::with_capacity(n);
     let mut failures = 0usize;
-    let mut quarantined = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(s) => {
-                weights.push(s.weight);
-                weighted_indicators.push(if s.fail { s.weight } else { 0.0 });
-                if s.fail {
-                    failures += 1;
-                }
-                if let Some(v) = s.value {
-                    metric_values.push(v);
-                    metric_weights.push(s.weight);
-                }
-            }
-            Err(error) => {
-                // Replay the sample's private stream to recover its draws.
-                let mut rng = cfg.mc.sample_rng(i);
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                quarantined.push(QuarantinedYieldSample {
-                    index: i,
-                    params: cfg.model.labeled_params(&raw),
-                    error,
-                });
-            }
+    for (s, weight) in survivors {
+        weights.push(weight);
+        weighted_indicators.push(if s.fail { weight } else { 0.0 });
+        if s.fail {
+            failures += 1;
+        }
+        if let Some(v) = s.value {
+            metric_values.push(v);
+            metric_weights.push(weight);
         }
     }
     let survivors = weights.len();
@@ -699,15 +688,7 @@ fn publish_study(study: &'static str, cfg: &YieldConfig, result: &YieldStudy) {
         std_error: result.std_error.unwrap_or(f64::NAN),
         ess: result.ess,
     });
-    for q in &result.quarantined {
-        tfet_obs::quarantine(tfet_obs::QuarantineRecord {
-            study,
-            index: q.index as u64,
-            seed: cfg.mc.seed,
-            params: q.params.clone(),
-            error: q.error.to_string(),
-        });
-    }
+    publish_quarantine_records(study, cfg.mc.seed, &result.quarantined);
 }
 
 #[cfg(test)]
@@ -804,6 +785,39 @@ mod tests {
         assert_eq!(summary.min, reference.min, "same draws, same values");
         assert_eq!(summary.max, reference.max);
         assert!((summary.mean - reference.mean).abs() < 1e-12);
+
+        // Both sides share one sampler, so pin it from outside: the paper
+        // model's draws and the DRNMs they give are the literals every
+        // committed Monte-Carlo figure was generated from. Any change to
+        // the per-sample streams, the draw order or the truncation shows
+        // up here, not only in the figure CSVs.
+        let draws = VariationModel::paper()
+            .sample(&cfg.mc, 0, base.vdd)
+            .expect("paper draws stay in range");
+        let pinned_tox: [u64; 7] = [
+            0x3fefaf4334b3c79e,
+            0x3ff0048cd4c3b16f,
+            0x3ff02780ce850025,
+            0x3fefeffc0c35d5b2,
+            0x3fefff651cb861ef,
+            0x3ff027e1d711654d,
+            0x3ff067f0f6c57c76,
+        ];
+        for (role, bits) in Role::ALL.into_iter().zip(pinned_tox) {
+            let point = draws.of(role);
+            assert_eq!(point.tox.tox_ratio.to_bits(), bits, "{role:?} t_ox");
+            assert_eq!((point.vth_shift, point.drive_ratio), (0.0, 1.0));
+        }
+        let pinned_drnm: [u64; 6] = [
+            0x3fd853d2531d93bd,
+            0x3fd48cd88783919d,
+            0x3fdcc370b1b87628,
+            0x3fd5137757ddc7bb,
+            0x3fded14ca89f02e1,
+            0x3fd6f1ae96816296,
+        ];
+        let drnm_bits: Vec<u64> = mc.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(drnm_bits, pinned_drnm, "per-sample DRNM, index order");
     }
 
     #[test]

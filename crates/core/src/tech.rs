@@ -11,9 +11,7 @@ use crate::error::SramError;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tfet_devices::model::{DeviceKind, DeviceModel};
-use tfet_devices::{
-    MosfetParams, NTfet, Nmos, PTfet, Pmos, ProcessPoint, ProcessVariation, TfetParams,
-};
+use tfet_devices::{MosfetParams, NTfet, Nmos, PTfet, Pmos, ProcessPoint, TfetParams};
 
 /// How transistor I-V characteristics are evaluated during simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -25,7 +23,9 @@ pub enum DeviceEval {
     /// ([`tfet_devices::shared_lut`]): each quantized process corner is
     /// tabulated once and shared by every cell instance and every thread.
     /// This is the fast path for Monte-Carlo and sweeps, at the cost of the
-    /// LUT's interpolation error (≲ a few percent in the on region).
+    /// LUT's interpolation error (≲ a few percent in the on region). The
+    /// cache is keyed on t_ox alone: devices whose process point carries
+    /// Vth or drive mismatch stay analytic (see [`CellParams::process`]).
     CachedLut,
 }
 
@@ -238,43 +238,11 @@ impl Role {
     }
 }
 
-/// Per-transistor process variation assignment (±5 % gate-oxide thickness,
-/// paper §4.3). Defaults to the nominal process for every device.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellVariations {
-    deviations: [ProcessVariation; 7],
-}
-
-impl CellVariations {
-    /// The nominal process for every transistor.
-    pub fn nominal() -> Self {
-        CellVariations {
-            deviations: [ProcessVariation::nominal(); 7],
-        }
-    }
-
-    /// Sets one transistor's variation (builder style).
-    pub fn with(mut self, role: Role, v: ProcessVariation) -> Self {
-        self.deviations[role.index()] = v;
-        self
-    }
-
-    /// The variation assigned to a role.
-    pub fn of(&self, role: Role) -> ProcessVariation {
-        self.deviations[role.index()]
-    }
-}
-
-impl Default for CellVariations {
-    fn default() -> Self {
-        CellVariations::nominal()
-    }
-}
-
-/// Per-transistor multi-factor process assignment (t_ox + Vth mismatch +
-/// drive strength) for rare-event yield studies. The paper-faithful default
-/// path keeps using [`CellVariations`]; a cell only carries a `CellProcess`
-/// when the factor variation model is explicitly enabled.
+/// Per-transistor process points, one per [`Role`]: gate-oxide thickness
+/// (the paper's §4.3 factor) plus the Vth-mismatch and drive-strength
+/// factors of the rare-event variation model. Defaults to the nominal
+/// process for every device; Monte-Carlo and yield studies draw one per
+/// sample through [`crate::rare_event::VariationModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellProcess {
     points: [ProcessPoint; 7],
@@ -432,14 +400,12 @@ pub struct CellParams {
     pub c_bitline: f64,
     /// Extra wiring capacitance on each storage node, F.
     pub c_node: f64,
-    /// Per-transistor process variation.
-    pub variations: CellVariations,
-    /// Per-transistor multi-factor process points. `None` (the default, and
-    /// the paper-faithful configuration) routes device construction through
-    /// [`CellVariations`] exactly as before; `Some` takes precedence and
-    /// always evaluates analytically — the compiled-LUT corner cache is
-    /// keyed on t_ox alone and cannot represent the extra factors.
-    pub process: Option<CellProcess>,
+    /// Per-transistor process points (nominal by default). Under
+    /// [`DeviceEval::CachedLut`] a role is served from the shared LUT corner
+    /// cache only when its point is t_ox-only (`vth_shift == 0` and
+    /// `drive_ratio == 1`): the cache is keyed on t_ox alone, so a point
+    /// carrying Vth or drive mismatch always evaluates analytically.
+    pub process: CellProcess,
     /// Operating temperature, K (applied to every device model).
     pub temp_k: f64,
     /// Device evaluation strategy (analytic vs. cached LUT).
@@ -468,8 +434,7 @@ impl CellParams {
             vdd: 0.8,
             c_bitline: 20e-15,
             c_node: 0.15e-15,
-            variations: CellVariations::nominal(),
-            process: None,
+            process: CellProcess::nominal(),
             temp_k: 300.0,
             eval: DeviceEval::default(),
             sim: SimOptions::default(),
@@ -488,17 +453,10 @@ impl CellParams {
         self
     }
 
-    /// Sets the per-transistor process variations (builder style).
-    pub fn with_variations(mut self, v: CellVariations) -> Self {
-        self.variations = v;
-        self
-    }
-
-    /// Sets the per-transistor multi-factor process points (builder style),
-    /// switching device construction to the factor variation model. See
+    /// Sets the per-transistor process points (builder style). See
     /// [`CellParams::process`].
     pub fn with_process(mut self, p: CellProcess) -> Self {
-        self.process = Some(p);
+        self.process = p;
         self
     }
 
@@ -540,13 +498,9 @@ impl CellParams {
     }
 
     /// Builds the device model for a role, applying that transistor's
-    /// process variation. `n_type` selects the polarity within the
-    /// technology.
+    /// process point. `n_type` selects the polarity within the technology.
     pub(crate) fn model(&self, role: Role, n_type: bool) -> Arc<dyn DeviceModel> {
-        if let Some(process) = &self.process {
-            return self.model_with_point(process.of(role), n_type);
-        }
-        self.model_with(self.variations.of(role), n_type)
+        self.device_model(self.process.of(role), n_type)
     }
 
     /// Builds an unvaried device model in the cell's technology — the
@@ -554,46 +508,24 @@ impl CellParams {
     /// precharge, write mux) sit outside the cell's per-role variation
     /// model and always use the nominal process.
     pub(crate) fn periph_model(&self, n_type: bool) -> Arc<dyn DeviceModel> {
-        self.model_with(ProcessVariation::nominal(), n_type)
+        self.device_model(ProcessPoint::nominal(), n_type)
     }
 
-    /// Builds a device model from a multi-factor process point. Always
-    /// analytic: the shared LUT corner cache is keyed on
-    /// [`ProcessVariation`] (t_ox only) and would silently drop the Vth and
-    /// drive factors.
-    fn model_with_point(&self, point: ProcessPoint, n_type: bool) -> Arc<dyn DeviceModel> {
-        if self.kind.is_tfet() {
-            let p = point
-                .apply_tfet(&TfetParams::nominal())
-                .at_temperature(self.temp_k);
-            if n_type {
-                Arc::new(NTfet::new(p))
-            } else {
-                Arc::new(PTfet::new(p))
-            }
-        } else {
-            let p = point
-                .apply_mosfet(&MosfetParams::nominal_32nm_lp())
-                .at_temperature(self.temp_k);
-            if n_type {
-                Arc::new(Nmos::new(p))
-            } else {
-                Arc::new(Pmos::new(p))
-            }
-        }
-    }
-
-    fn model_with(&self, var: ProcessVariation, n_type: bool) -> Arc<dyn DeviceModel> {
-        if self.eval == DeviceEval::CachedLut {
+    /// The one device-model builder: the shared LUT corner for a t_ox-only
+    /// point under [`DeviceEval::CachedLut`] (see [`CellParams::process`]),
+    /// the analytic model otherwise.
+    fn device_model(&self, point: ProcessPoint, n_type: bool) -> Arc<dyn DeviceModel> {
+        let tox_only = point.vth_shift == 0.0 && point.drive_ratio == 1.0;
+        if self.eval == DeviceEval::CachedLut && tox_only {
             let kind = if self.kind.is_tfet() {
                 DeviceKind::Tfet
             } else {
                 DeviceKind::Mosfet
             };
-            return tfet_devices::shared_lut(kind, n_type, var, self.temp_k);
+            return tfet_devices::shared_lut(kind, n_type, point.tox, self.temp_k);
         }
         if self.kind.is_tfet() {
-            let p = var
+            let p = point
                 .apply_tfet(&TfetParams::nominal())
                 .at_temperature(self.temp_k);
             if n_type {
@@ -602,7 +534,7 @@ impl CellParams {
                 Arc::new(PTfet::new(p))
             }
         } else {
-            let p = var
+            let p = point
                 .apply_mosfet(&MosfetParams::nominal_32nm_lp())
                 .at_temperature(self.temp_k);
             if n_type {
@@ -669,10 +601,10 @@ mod tests {
 
     #[test]
     fn variations_address_individual_transistors() {
-        let v = CellVariations::nominal()
-            .with(Role::AccessLeft, ProcessVariation::from_deviation(0.05));
-        assert!((v.of(Role::AccessLeft).deviation() - 0.05).abs() < 1e-12);
-        assert_eq!(v.of(Role::AccessRight).deviation(), 0.0);
+        let point = ProcessPoint::try_new(0.05, 0.0, 0.0).unwrap();
+        let v = CellProcess::nominal().with(Role::AccessLeft, point);
+        assert!((v.of(Role::AccessLeft).tox.deviation() - 0.05).abs() < 1e-12);
+        assert_eq!(v.of(Role::AccessRight).tox.deviation(), 0.0);
     }
 
     #[test]
@@ -708,8 +640,14 @@ mod tests {
         let p = CellParams::tfet6t(AccessConfig::InwardP)
             .with_lut_devices()
             .with_process(CellProcess::nominal().with(Role::PullDownLeft, point));
-        // Factor-model devices never come from the LUT corner cache.
+        // Vth-shifted devices never come from the t_ox-keyed LUT cache...
         assert_eq!(p.model(Role::PullDownLeft, true).name(), "ntfet");
+        // ...while a t_ox-only point is still served from it.
+        let tox_only = ProcessPoint::try_new(0.03, 0.0, 0.0).unwrap();
+        let lut = p
+            .clone()
+            .with_process(CellProcess::nominal().with(Role::PullDownLeft, tox_only));
+        assert_eq!(lut.model(Role::PullDownLeft, true).name(), "ntfet-lut");
         // A nominal process assignment reproduces the nominal analytic model.
         let nominal =
             CellParams::tfet6t(AccessConfig::InwardP).with_process(CellProcess::nominal());

@@ -11,18 +11,53 @@
 //!
 //! Lives in an integration test because it installs a counting global
 //! allocator, which needs `unsafe` (the library itself forbids it).
+//!
+//! The allocator is process-wide but the tests in this file run
+//! concurrently, so counting is armed per thread: only allocations made on
+//! an armed thread are tallied. [`count`] arms the calling thread and, on
+//! request, every thread first touched while it runs — the array engine's
+//! device-evaluation workers — so worker-side allocations are covered too.
+//! Counting windows are serialized by a lock. That keeps the inheriting
+//! window sound: the other test spawns no threads and runs entirely inside
+//! its own window, and the harness's threads exist before any window opens.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use tfet_sram::prelude::*;
 
 struct CountingAlloc;
 
+/// Allocations made on armed threads.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+/// Whether an inheriting [`count`] window is open; a thread first touched
+/// inside one starts armed.
+static ARM_SPAWNED: AtomicBool = AtomicBool::new(false);
+/// Serializes [`count`] windows across the concurrently running tests.
+static WINDOW: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Whether this thread's allocations are tallied.
+    static ARMED: Cell<bool> = Cell::new(ARM_SPAWNED.load(Ordering::Relaxed));
+}
+
+/// Tallies one allocation if the current thread is armed. `try_with`
+/// keeps allocations during thread teardown (after the thread-locals are
+/// gone) from panicking inside the allocator.
+fn tally() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; `tally` only touches an atomic and a thread-local `Cell<bool>`
+// (no destructor, initialised without allocating), so it never allocates
+// or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,9 +74,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn count(f: impl FnOnce()) -> usize {
+/// Allocations made while `f` runs on the calling thread and, when
+/// `with_spawned`, on every thread spawned meanwhile.
+fn count(with_spawned: bool, f: impl FnOnce()) -> usize {
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ARM_SPAWNED.store(with_spawned, Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(true));
     f();
+    ARMED.with(|armed| armed.set(false));
+    ARM_SPAWNED.store(false, Ordering::Relaxed);
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
@@ -62,15 +104,16 @@ fn warm_array_write_alloc_count_is_repeatable_with_tracing_off() {
 
     // Two identical warm writes: with every instrumentation site disabled
     // (spans, counters, partition telemetry, timeline trace, forensics
-    // context), the only allocations left are the per-run result buffers —
-    // so the counts must match exactly. Any drift means a disabled-path
-    // site started allocating.
+    // context), the only allocations left on the calling thread and its
+    // device-evaluation workers are the per-run result buffers and the
+    // worker spawns — so the counts must match exactly. Any drift means a
+    // disabled-path site started allocating.
     array.set_bit(2, 3, false);
-    let first = count(|| {
+    let first = count(true, || {
         assert!(array.write_transient(2, 3, true, 1.5e-9).unwrap().success);
     });
     array.set_bit(2, 3, false);
-    let second = count(|| {
+    let second = count(true, || {
         assert!(array.write_transient(2, 3, true, 1.5e-9).unwrap().success);
     });
     assert_eq!(
@@ -82,7 +125,7 @@ fn warm_array_write_alloc_count_is_repeatable_with_tracing_off() {
 #[test]
 fn disabled_instrumentation_sites_do_not_allocate() {
     assert!(!tfet_obs::enabled());
-    let allocs = count(|| {
+    let allocs = count(false, || {
         for i in 0..1024u64 {
             let _span = tfet_obs::span("array_alloc.guard");
             let _ctx = tfet_obs::forensics::context("cell", tfet_obs::Value::UInt(i));

@@ -1,6 +1,7 @@
 //! Integration tests for the fast-SPICE array engine: functional
 //! write/read through real peripherals, the ≥5× device-evaluation saving
-//! of the latency tier, and the netlist-vs-analytic `WL_crit` regression.
+//! of the latency tier, the netlist-vs-analytic `WL_crit` regression, and
+//! functional patterns (checkerboard, overwrites, a CMOS array).
 
 use tfet_sram::array_netlist::{ArrayNetlist, ArraySpec};
 use tfet_sram::prelude::*;
@@ -127,4 +128,72 @@ fn bitline_load_scales_with_rows() {
         "64 rows = full budget"
     );
     assert!((c8 - cell.c_bitline / 8.0).abs() < 1e-24, "8 rows = 1/8");
+}
+
+#[test]
+fn array_initializes_to_zeros() {
+    let a = ArrayNetlist::build(ArraySpec::new(2, 2, proposed_cell())).unwrap();
+    for r in 0..2 {
+        for c in 0..2 {
+            assert_eq!(a.bit(r, c), Some(false), "cell ({r},{c})");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "address out of range")]
+fn out_of_range_address_panics() {
+    let a = ArrayNetlist::build(ArraySpec::new(2, 2, proposed_cell())).unwrap();
+    a.bit(2, 0);
+}
+
+#[test]
+fn checkerboard_pattern_survives() {
+    let mut a = ArrayNetlist::build(ArraySpec::new(2, 2, proposed_cell())).unwrap();
+    for r in 0..2 {
+        for c in 0..2 {
+            let bit = (r + c) % 2 == 0;
+            let w = a.write_transient(r, c, bit, 1.5e-9).unwrap();
+            assert!(w.success, "write ({r},{c})={bit}");
+            assert!(
+                w.disturbed.is_empty(),
+                "disturbs at ({r},{c}): {:?}",
+                w.disturbed
+            );
+            a.commit(&w.finals);
+        }
+    }
+    for r in 0..2 {
+        for c in 0..2 {
+            let expect = (r + c) % 2 == 0;
+            assert_eq!(a.bit(r, c), Some(expect), "cell ({r},{c})");
+            let read = a.read_transient(r, c).unwrap();
+            assert_eq!(read.value, expect, "read ({r},{c})");
+            assert!(!read.destructive);
+            a.commit(&read.finals);
+        }
+    }
+}
+
+#[test]
+fn overwrite_both_directions() {
+    let mut a = ArrayNetlist::build(ArraySpec::new(1, 1, proposed_cell())).unwrap();
+    for &bit in &[true, false, true, true, false] {
+        let w = a.write_transient(0, 0, bit, 1.5e-9).unwrap();
+        assert!(w.success, "write {bit}");
+        a.commit(&w.finals);
+        assert_eq!(a.bit(0, 0), Some(bit));
+    }
+}
+
+#[test]
+fn cmos_array_works_too() {
+    let mut cell = CellParams::cmos6t().with_beta(1.5);
+    cell.sim.dt = 4e-12;
+    let mut a = ArrayNetlist::build(ArraySpec::new(2, 1, cell)).unwrap();
+    let w = a.write_transient(1, 0, true, 1.5e-9).unwrap();
+    assert!(w.success);
+    a.commit(&w.finals);
+    let r = a.read_transient(1, 0).unwrap();
+    assert!(r.value && !r.destructive);
 }

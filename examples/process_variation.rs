@@ -8,7 +8,7 @@
 
 use tfet_numerics::{Histogram, Summary};
 use tfet_sram::metrics::SENSE_DV;
-use tfet_sram::montecarlo::{mc_drnm, mc_wl_crit};
+use tfet_sram::montecarlo::{mc_drnm_with, mc_wl_crit_with, McConfig};
 use tfet_sram::prelude::*;
 
 const SAMPLES: usize = 60;
@@ -26,14 +26,19 @@ fn main() -> Result<(), SramError> {
     println!("Monte-Carlo, {SAMPLES} samples, ±5 % t_ox per transistor (seed {SEED})\n");
 
     // --- DRNM under the selected read assist -------------------------------
-    let drnm = mc_drnm(&params, Some(ReadAssist::GndLowering), SAMPLES, SEED)?;
+    let drnm = mc_drnm_with(
+        &params,
+        Some(ReadAssist::GndLowering),
+        SAMPLES,
+        McConfig::new(SEED),
+    )?;
     let s = Summary::of(&drnm.values);
     println!("DRNM with GND-lowering RA: {s}");
     println!("{}", Histogram::from_data(&drnm.values, 10));
     assert!(s.min > SENSE_DV, "every sample must read non-destructively");
 
     // --- WL_crit of the write-sized cell ------------------------------------
-    let wl = mc_wl_crit(&params, None, SAMPLES, SEED)?;
+    let wl = mc_wl_crit_with(&params, None, SAMPLES, McConfig::new(SEED))?;
     println!(
         "WL_crit: {} finite samples, {} write failures ({:.1} % failure rate)",
         wl.values.len(),

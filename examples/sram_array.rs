@@ -1,19 +1,24 @@
 //! Array demo: a 4×4 TFET SRAM macro exercised like a memory.
 //!
-//! Builds a 16-cell array of the paper's proposed cell, writes a text
-//! pattern through the shared wordlines/bitlines (every operation is a full
-//! array transient — half-select effects included), reads it back through
-//! the sense path, and reports the disturb ledger.
+//! Builds a 16-cell array netlist of the paper's proposed cell — shared
+//! wordlines and bitlines with wordline drivers, precharge and a column
+//! write mux, compiled once — writes a text pattern through it (every
+//! operation is a full array transient, half-select effects included),
+//! reads it back through the bitline sense path, and reports the disturb
+//! ledger.
 //!
 //! Run with: `cargo run --release --example sram_array`
 
-use tfet_sram::array::{ArrayParams, SramArray};
 use tfet_sram::prelude::*;
 
 const ROWS: usize = 4;
 const COLS: usize = 4;
 
-fn show(array: &SramArray) {
+/// Wordline-enable pulse of every write: ~3.5× the proposed cell's
+/// 430 ps `WL_crit` at 0.8 V.
+const WRITE_PULSE: f64 = 1.5e-9;
+
+fn show(array: &ArrayNetlist) {
     for r in 0..ROWS {
         let row: String = (0..COLS)
             .map(|c| match array.bit(r, c) {
@@ -31,7 +36,7 @@ fn main() -> Result<(), SramError> {
         .with_beta(0.6)
         .with_vdd(0.8);
     cell.sim.dt = 4e-12; // 16 cells per transient: keep the demo snappy
-    let mut array = SramArray::new(ArrayParams::new(ROWS, COLS, cell))?;
+    let mut array = ArrayNetlist::build(ArraySpec::new(ROWS, COLS, cell))?;
 
     // The pattern to store: a diagonal plus one corner.
     let pattern: [[bool; COLS]; ROWS] = [
@@ -41,32 +46,41 @@ fn main() -> Result<(), SramError> {
         [true, false, false, true],
     ];
 
+    // Preload the complement (clean rails, no simulation), so every write
+    // below has to flip its cell — both 0→1 and 1→0 writes are exercised.
+    for (r, row) in pattern.iter().enumerate() {
+        for (c, &bit) in row.iter().enumerate() {
+            array.set_bit(r, c, !bit);
+        }
+    }
+
     println!("writing pattern ({} full-array transients)...", ROWS * COLS);
     let mut disturbs = 0;
     for (r, row) in pattern.iter().enumerate() {
         for (c, &bit) in row.iter().enumerate() {
-            let report = array.write(r, c, bit)?;
-            assert!(report.success, "write ({r},{c}) failed");
-            disturbs += report.disturbed.len();
+            let write = array.write_transient(r, c, bit, WRITE_PULSE)?;
+            assert!(write.success, "write ({r},{c}) failed");
+            disturbs += write.disturbed.len();
+            array.commit(&write.finals);
         }
     }
     println!("stored state (decoded from storage-node voltages):");
     show(&array);
     println!("half-select/disturb victims during writes: {disturbs}");
+    assert_eq!(disturbs, 0, "no half-selected cell may flip");
 
     println!("\nreading back through the bitline sense path...");
     let mut errors = 0;
     let mut worst_margin = f64::INFINITY;
     for (r, row) in pattern.iter().enumerate() {
         for (c, &expect) in row.iter().enumerate() {
-            let read = array.read(r, c)?;
+            let read = array.read_transient(r, c)?;
             if read.value != expect {
                 errors += 1;
             }
-            if read.destructive {
-                println!("  destructive read at ({r},{c})!");
-            }
+            assert!(!read.destructive, "destructive read at ({r},{c})");
             worst_margin = worst_margin.min(read.sense_margin);
+            array.commit(&read.finals);
         }
     }
     println!(

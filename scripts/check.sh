@@ -88,6 +88,12 @@ if ! grep -q "430.8 ps" <<<"$run_deck_out"; then
 fi
 echo "run_deck: WL_crit 430.8 ps reproduced from examples/decks/cell_6t.sp"
 
+echo "== sram_array smoke (4x4 array netlist: writes, disturbs, read-back) =="
+# The example asserts that every write lands with no disturbed cell, that
+# no read is destructive, and that the pattern reads back with zero errors.
+cargo run -q --release --offline -p tfet-sram --example sram_array >/dev/null
+echo "sram_array: pattern written without disturbs and read back intact"
+
 echo "== run_report smoke (traced scorecard + MC, JSON validates) =="
 cargo run -q --release --offline --example run_report -- --report \
   --out results/run_report.json >/dev/null

@@ -5,7 +5,7 @@
 //! comparison here is exact (`Vec<f64>` equality), not approximate.
 
 use tfet_sram::metrics::{wl_crit, wl_crit_seeded, WlCrit};
-use tfet_sram::montecarlo::{mc_drnm_with, mc_wl_crit_with, sample_variations, McConfig};
+use tfet_sram::montecarlo::{mc_drnm_with, mc_wl_crit_with, McConfig};
 use tfet_sram::ops::run_write;
 use tfet_sram::prelude::*;
 
@@ -29,8 +29,8 @@ fn serial_reference_wl_crit(base: &CellParams) -> (Vec<f64>, usize) {
     let mut values = Vec::new();
     let mut failures = 0;
     for i in 0..N {
-        let mut rng = cfg.sample_rng(i);
-        let params = base.clone().with_variations(sample_variations(&mut rng));
+        let process = VariationModel::paper().sample(&cfg, i, base.vdd).unwrap();
+        let params = base.clone().with_process(process);
         match wl_crit_seeded(&params, None, hint).unwrap().value {
             WlCrit::Finite(w) => values.push(w),
             WlCrit::Infinite => failures += 1,
@@ -97,8 +97,8 @@ fn compiled_experiment_reuse_is_bit_identical_to_fresh_builds() {
     for &(beta, width, sample) in &rotation {
         let mut params = base.clone().with_beta(beta);
         if let Some(i) = sample {
-            let mut rng = cfg.sample_rng(i);
-            params = params.with_variations(sample_variations(&mut rng));
+            let process = VariationModel::paper().sample(&cfg, i, params.vdd).unwrap();
+            params = params.with_process(process);
         }
         let reused = match exp.as_mut() {
             Some(e) => {
