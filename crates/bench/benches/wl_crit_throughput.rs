@@ -78,7 +78,7 @@ fn effort_table() -> Table {
     let seeded = run(&seeded_p, hint);
     push_run(&mut t, "adaptive, early exit, seeded", &seeded);
 
-    // The dense cross-check: same search under the legacy dense solver.
+    // The dense cross-check: same search under the dense solver backend.
     // WL_crit must agree to the bisection tolerance, and the sparse default
     // must not cost more factorizations + device evals than dense.
     let mut dense_p = cell(SteppingMode::Adaptive, true);

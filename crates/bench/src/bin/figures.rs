@@ -8,7 +8,7 @@
 //! `cargo run --release -p tfet-bench --bin figures [--quick] [--dense] [--latency-off] [--out DIR]`
 //!
 //! * `--quick` — coarse grids for a fast smoke run;
-//! * `--dense` — force the legacy dense linear solver process-wide (the
+//! * `--dense` — force the dense linear-solve backend process-wide (the
 //!   sparse/dense figure-equivalence gate in `scripts/check.sh` diffs the
 //!   CSVs from a `--dense` run against a default run byte for byte);
 //! * `--latency-off` — force full device evaluation process-wide (the

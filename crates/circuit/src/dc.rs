@@ -1,12 +1,16 @@
 //! Newton–Raphson DC operating-point analysis.
 //!
-//! The solver iterates `J(x_k) Δx = −f(x_k)` with per-iteration voltage-step
-//! limiting (the damping that keeps the exponential TFET reverse-diode and
-//! subthreshold branches from overshooting), declaring convergence when the
-//! *undamped* update falls below tolerance. If plain Newton fails from the
-//! given guess, it falls back to g_min stepping: solve with a large
-//! artificial conductance to ground, then relax it toward zero, carrying the
-//! solution forward.
+//! One damped modified-Newton loop (`newton`) serves every solve in the
+//! crate — DC operating points and every transient step. It iterates
+//! `J(x_k) Δx = −f(x_k)` with per-iteration voltage-step limiting (the
+//! damping that keeps the exponential TFET reverse-diode and subthreshold
+//! branches from overshooting), declaring convergence when the *undamped*
+//! update falls below tolerance. The linear solve runs on the backend the
+//! run's [`SolverStrategy`] selects: dense LU refactorized every iteration,
+//! or sparse LU with modified-Newton factor reuse and device bypass. If
+//! plain Newton fails from the given guess, `solve_op` falls back to g_min
+//! stepping: solve with a large artificial conductance to ground, then
+//! relax it toward zero, carrying the solution forward.
 //!
 //! Bistable circuits (an SRAM cell in hold!) have multiple operating points;
 //! the initial guess selects the basin, which is exactly how the SRAM layer
@@ -18,14 +22,16 @@ use crate::mna::{CompanionCaps, Mna};
 use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::workspace::{with_workspace, NewtonWorkspace, SolverBufs};
 use std::sync::atomic::{AtomicU8, Ordering};
+use tfet_numerics::matrix::SolveError;
 
-/// Linear-solve strategy for the Newton loop.
+/// Linear-solve backend of the Newton loop.
 ///
 /// `Sparse` is the production path: pattern-backed sparse LU with
 /// modified-Newton factorization reuse and device-evaluation bypass.
-/// `Dense` is the legacy per-iteration dense-LU path, kept byte-for-byte as
-/// a cross-check — the figure CSVs must come out bit-identical either way
-/// (enforced by `scripts/check.sh`).
+/// `Dense` assembles into a dense matrix and refactorizes every iteration
+/// with every device evaluated — the same loop with reuse and bypass
+/// never engaged, kept as a cross-check: the figure CSVs must come out
+/// bit-identical either way (enforced by `scripts/check.sh`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverStrategy {
     /// Sparse LU + modified Newton + device bypass (default).
@@ -64,39 +70,30 @@ impl Default for SolverStrategy {
     }
 }
 
-/// Newton iteration controls.
+/// The per-run solver choices every Newton solve of a run shares, taken
+/// from [`TransientSpec`](crate::TransientSpec) (or the DC entry).
 #[derive(Debug, Clone, Copy)]
-pub struct NewtonOpts {
-    /// Maximum iterations before declaring failure.
-    pub max_iter: usize,
-    /// Convergence tolerance on the largest voltage update, V.
-    pub v_tol: f64,
-    /// Damping: the largest voltage change applied in one iteration, V.
-    pub v_step_max: f64,
-    /// Linear-solve strategy (see [`SolverStrategy`]).
-    pub strategy: SolverStrategy,
+pub(crate) struct NewtonMode {
+    /// Linear-solve backend.
+    pub(crate) strategy: SolverStrategy,
     /// Device-latency mode: `On` enables the bypass cache and (for
     /// partitioned circuits) the quiescent-partition dormancy tier during
-    /// transient solves; `Off` is the full-evaluation baseline (see
-    /// [`DeviceLatency`]).
-    pub latency: DeviceLatency,
+    /// sparse transient solves; `Off` is the full-evaluation baseline.
+    pub(crate) latency: DeviceLatency,
 }
 
-impl Default for NewtonOpts {
-    fn default() -> Self {
-        NewtonOpts {
-            max_iter: 200,
-            // 20 nV: far below any measurement in this workspace (metrics
-            // live at mV scale) yet loose enough that the near-quadratic
-            // TFET output-onset region cannot trap the iteration in a
-            // numerical limit cycle.
-            v_tol: 2e-8,
-            v_step_max: 0.3,
-            strategy: SolverStrategy::default(),
-            latency: DeviceLatency::default(),
-        }
-    }
-}
+/// Newton iterations before a solve is declared failed.
+const MAX_ITER: usize = 200;
+
+/// Convergence tolerance on the largest undamped voltage update, V.
+///
+/// 20 nV: far below any measurement in this workspace (metrics live at mV
+/// scale) yet loose enough that the near-quadratic TFET output-onset region
+/// cannot trap the iteration in a numerical limit cycle.
+const V_TOL: f64 = 2e-8;
+
+/// Damping: the largest voltage change applied in one iteration, V.
+const V_STEP_MAX: f64 = 0.3;
 
 /// The g_min relaxation ladder used when plain Newton fails. Ends at zero so
 /// the final solution is physical — essential here because TFET hold
@@ -104,12 +101,32 @@ impl Default for NewtonOpts {
 /// residual g_min would inject.
 const GMIN_LADDER: &[f64] = &[1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0];
 
-/// Runs damped Newton at fixed `t`/`gmin`/`caps` from `x0`, using (and
-/// reusing) the buffers in `bufs` — a steady-state call allocates nothing.
+/// Runs damped modified Newton at fixed `t`/`gmin`/`caps` from `x0`, using
+/// (and reusing) the buffers in `bufs` — a steady-state call allocates
+/// nothing.
 ///
-/// Dispatches on [`NewtonOpts::strategy`]: the legacy dense loop
-/// (refactorize + fully re-evaluate every iteration) or the sparse
-/// modified-Newton loop (factorization reuse + device bypass).
+/// Per iteration it assembles the Jacobian into the backend `mode.strategy`
+/// selects and, when the backend holds a valid factorization from an
+/// earlier iteration or step and `gmin == 0`, *reuses* it instead of
+/// refactorizing. Only the sparse backend ever keeps a factor: the dense
+/// backend refactorizes every iteration, so neither safeguard below can
+/// fire on it. A reused factor that stops contracting the update —
+/// `|Δv| ≥ V_TOL` and shrinking by less than ~1.4× versus the previous
+/// chord iteration (the first iteration of a solve is exempt, so a factor
+/// carried across transient steps gets one chord probe before it can be
+/// declared stale) — triggers a full refactorization at the current iterate
+/// and an immediate re-solve, bounded to once per iteration; gmin-laddered
+/// solves (the rescue path) always refactorize and never publish their
+/// factors for reuse.
+///
+/// Convergence is declared on the undamped `|Δv| < V_TOL` test, with one
+/// extra safeguard: a convergence claim produced by a *reused* factor is
+/// only accepted after a mat-vec consistency check against the freshly
+/// assembled Jacobian ([`SolverBufs::sparse_update_consistent`]) — an
+/// inconsistent factor triggers refactorization and a re-solve of the same
+/// right-hand side. Together the stall guard and the consistency check
+/// bound how stale a factor can get in both failure directions (divergence
+/// and false convergence).
 ///
 /// Returns the converged state, or the pair `(best_state, error)` on
 /// failure so ladders can continue from partial progress.
@@ -117,154 +134,18 @@ const GMIN_LADDER: &[f64] = &[1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0];
 pub(crate) fn newton(
     mna: &Mna<'_>,
     bufs: &mut SolverBufs,
-    x: Vec<f64>,
-    t: f64,
-    gmin: f64,
-    anchor: Option<&[f64]>,
-    caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
-    time_label: Option<f64>,
-) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
-    match opts.strategy {
-        SolverStrategy::Dense => {
-            newton_dense(mna, bufs, x, t, gmin, anchor, caps, opts, time_label)
-        }
-        SolverStrategy::Sparse => {
-            newton_sparse(mna, bufs, x, t, gmin, anchor, caps, opts, time_label)
-        }
-    }
-}
-
-/// The legacy dense-LU Newton loop: assemble, factorize, and solve every
-/// iteration. Kept arithmetically untouched as the cross-check reference.
-#[allow(clippy::too_many_arguments)] // solver-internal
-fn newton_dense(
-    mna: &Mna<'_>,
-    bufs: &mut SolverBufs,
     mut x: Vec<f64>,
     t: f64,
     gmin: f64,
     anchor: Option<&[f64]>,
     caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
+    mode: NewtonMode,
     time_label: Option<f64>,
 ) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
-    let n = mna.unknown_count();
+    let strategy = mode.strategy;
     let n_v = mna.voltage_count();
-    bufs.ensure(n);
-    bufs.newton_solves += 1;
-    bufs.res_history.clear();
-    let _span = tfet_obs::span("newton");
-
-    let mut last_delta = f64::INFINITY;
-    let mut last_residual = f64::INFINITY;
-    for iter in 0..opts.max_iter {
-        bufs.newton_iters += 1;
-        let stats = mna.assemble_into(&x, t, gmin, anchor, caps, &mut bufs.j, &mut bufs.f, None);
-        bufs.device_evals += stats.evals;
-        // Residual infinity-norm: convergence is decided on |Δv| below, but
-        // the history is what a post-mortem of a failed solve needs. The
-        // pushes reuse reserved capacity (see `RES_HISTORY_CAP`), so the
-        // hot path stays allocation-free.
-        last_residual = bufs.f.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if bufs.res_history.len() < bufs.res_history.capacity() {
-            bufs.res_history.push(last_residual);
-        }
-        bufs.jac_refactored += 1;
-        if let Err(e) = bufs.lu.factorize(&bufs.j) {
-            tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
-            return Err((x, SimError::from_solve(e, time_label)));
-        }
-        for (r, v) in bufs.rhs.iter_mut().zip(&bufs.f) {
-            *r = -v;
-        }
-        bufs.lu.solve_into(&bufs.rhs, &mut bufs.dx);
-        let dx = &bufs.dx;
-
-        // Undamped voltage-update magnitude decides convergence.
-        let max_dv = dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-        if !max_dv.is_finite() {
-            tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
-            return Err((
-                x,
-                SimError::NoConvergence {
-                    time: time_label,
-                    iterations: iter,
-                    last_delta: f64::INFINITY,
-                    residual_norm: last_residual,
-                },
-            ));
-        }
-        // Damping factor limits voltage moves; branch currents follow suit
-        // so the iterate stays near the linearization.
-        let scale = if max_dv > opts.v_step_max {
-            opts.v_step_max / max_dv
-        } else {
-            1.0
-        };
-        for (xi, di) in x.iter_mut().zip(dx) {
-            *xi += scale * di;
-        }
-        last_delta = max_dv;
-        if max_dv < opts.v_tol {
-            tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
-            return Ok(x);
-        }
-    }
-    tfet_obs::record_u64("newton.iters_per_solve", opts.max_iter as u64);
-    tfet_obs::counter("newton.failures", 1);
-    Err((
-        x,
-        SimError::NoConvergence {
-            time: time_label,
-            iterations: opts.max_iter,
-            last_delta,
-            residual_norm: last_residual,
-        },
-    ))
-}
-
-/// The sparse modified-Newton loop.
-///
-/// Per iteration it assembles into the pattern-backed sparse Jacobian (with
-/// device-evaluation bypass) and, when a valid factorization from an earlier
-/// iteration or step is available and `gmin == 0`, *reuses* it instead of
-/// refactorizing. A reused factor that stops contracting the update —
-/// `|Δv| ≥ v_tol` and shrinking by less than ~1.4× versus the previous
-/// chord iteration (the first iteration of a solve is exempt, so a factor
-/// carried across transient steps gets one chord probe before it can be
-/// declared stale) — triggers a full refactorization at the current iterate
-/// and an immediate re-solve, bounded to once per iteration; gmin-laddered
-/// solves (the PR-5 rescue path, untouched above this function) always refactorize
-/// and never publish their factors for reuse.
-///
-/// Convergence is declared on the same undamped `|Δv| < v_tol` test as the
-/// dense loop, with one extra safeguard: a convergence claim produced by a
-/// *reused* factor is only accepted after a mat-vec consistency check
-/// against the freshly assembled Jacobian
-/// ([`SolverBufs::sparse_update_consistent`]) — an inconsistent factor
-/// triggers refactorization and a re-solve of the same right-hand side.
-/// Together the stall guard and the consistency check bound how stale a
-/// factor can get in both failure directions (divergence and false
-/// convergence).
-#[allow(clippy::too_many_arguments)] // solver-internal
-fn newton_sparse(
-    mna: &Mna<'_>,
-    bufs: &mut SolverBufs,
-    mut x: Vec<f64>,
-    t: f64,
-    gmin: f64,
-    anchor: Option<&[f64]>,
-    caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
-    time_label: Option<f64>,
-) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
-    let n = mna.unknown_count();
-    let n_v = mna.voltage_count();
-    bufs.ensure(n);
-    bufs.ensure_sparse(mna);
-    bufs.ensure_latency(mna);
-    bufs.newton_solves += 1;
+    bufs.prepare(mna, strategy);
+    bufs.effort.newton_solves += 1;
     bufs.res_history.clear();
     let _span = tfet_obs::span("newton");
 
@@ -281,129 +162,35 @@ fn newton_sparse(
     // refactorize every moving step — ruinous at array scale, where one
     // LU factorization outweighs dozens of triangular solves and the
     // latency tier has already made per-iteration assembly cheap. A factor
-    // that really is stale still trips the 0.7-contraction guard below on
-    // the second iteration, after exactly one wasted triangular solve.
+    // that really is stale still trips the 0.7-contraction guard in
+    // `solve_update` on the second iteration, after exactly one wasted
+    // triangular solve.
     let mut prev_max_dv = f64::INFINITY;
-    for iter in 0..opts.max_iter {
-        bufs.newton_iters += 1;
+    for iter in 0..MAX_ITER {
+        bufs.effort.newton_iters += 1;
         {
             let _span = tfet_obs::span("assemble");
-            let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-            // Device bypass (and the partition tier above it) is a
-            // transient-only optimization: those solves are LTE-controlled,
-            // so the (second-order) extrapolation error stays far inside
-            // the step-acceptance budget. DC operating points are solved
-            // with full evaluations — they are rare, and they anchor
-            // accuracy contracts (VTC sweeps, SNM extraction) at the Newton
-            // tolerance itself. `DeviceLatency::Off` disables both layers,
-            // giving the clean full-evaluation baseline the figure-identity
-            // gate compares against. Partitioned circuits additionally get
-            // incremental Jacobian maintenance (`assemble_sparse_latent`).
-            let use_cache = caps.is_some() && opts.latency == DeviceLatency::On;
-            let stats = match (use_cache, bufs.latency.as_mut(), caps) {
-                (true, Some(lat), Some(caps)) => mna.assemble_sparse_latent(
-                    &x,
-                    t,
-                    gmin,
-                    anchor,
-                    caps,
-                    &mut s.jac,
-                    &mut s.inc,
-                    &mut bufs.f,
-                    &mut bufs.device_cache,
-                    lat,
-                ),
-                _ => {
-                    let cache = if use_cache {
-                        Some(&mut bufs.device_cache)
-                    } else {
-                        None
-                    };
-                    mna.assemble_into(&x, t, gmin, anchor, caps, &mut s.jac, &mut bufs.f, cache)
-                }
-            };
-            bufs.device_evals += stats.evals;
-            bufs.devices_bypassed += stats.bypassed;
-            bufs.devices_dormant += stats.dormant;
-            bufs.cells_refreshed += stats.cells_refreshed;
-            bufs.guard_refreshes += stats.guard_refreshes;
+            bufs.assemble(mna, &x, t, gmin, anchor, caps, mode);
         }
+        // Residual infinity-norm: convergence is decided on |Δv| below, but
+        // the history is what a post-mortem of a failed solve needs. The
+        // pushes reuse reserved capacity (see `RES_HISTORY_CAP`), so the
+        // hot path stays allocation-free.
         last_residual = bufs.f.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         if bufs.res_history.len() < bufs.res_history.capacity() {
             bufs.res_history.push(last_residual);
         }
 
-        let reused = allow_reuse
-            && bufs
-                .sparse
-                .as_ref()
-                .is_some_and(|s| s.factor_valid && s.lu.is_factored());
-        if reused {
-            bufs.jac_reused += 1;
-        } else if let Err(e) = bufs.sparse_refactor(allow_reuse) {
-            tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
-            return Err((x, SimError::from_solve(e, time_label)));
-        }
-        let mut solved_with_reuse = reused;
-        for (r, v) in bufs.rhs.iter_mut().zip(&bufs.f) {
-            *r = -v;
-        }
-        {
-            let _span = tfet_obs::span("trisolve");
-            let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-            s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
-        }
-        bufs.sparse_solves += 1;
-        let mut max_dv = bufs.dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-
-        // Stall guard: a reused factor whose update has stopped shrinking
-        // (contraction worse than ~1.4× per chord iteration) gets replaced
-        // by a fresh factorization of the *already assembled* current
-        // Jacobian, and the step is re-solved within this same iteration.
-        // The threshold trades chord iterations against refactorizations:
-        // chord iterations whose terminal movement sits inside the bypass
-        // window cost no device evaluations, so tolerating a slower but
-        // still geometric contraction is cheaper than refactoring.
-        if reused && max_dv.is_finite() && max_dv >= opts.v_tol && max_dv > 0.7 * prev_max_dv {
-            if let Err(e) = bufs.sparse_refactor(allow_reuse) {
+        let dv = match solve_update(bufs, strategy, allow_reuse, prev_max_dv, n_v) {
+            Ok(dv) => dv,
+            Err(e) => {
                 tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
                 return Err((x, SimError::from_solve(e, time_label)));
             }
-            {
-                let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-                s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
-            }
-            bufs.sparse_solves += 1;
-            max_dv = bufs.dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-            solved_with_reuse = false;
-        }
+        };
+        prev_max_dv = dv;
 
-        // A convergence claim backed by a reused factor must also be backed
-        // by the *current* Jacobian: verify `J·Δx ≈ −f` with one mat-vec and
-        // refactorize + re-solve when the stale factor no longer solves the
-        // assembled system (e.g. after a step-size change, or after the UIC
-        // hold solve's artificially pinned system). Without this, a factor
-        // with an inflated diagonal yields `Δv ≈ 0` and Newton "converges"
-        // instantly without moving — a frozen waveform, not a solution.
-        if solved_with_reuse
-            && max_dv.is_finite()
-            && max_dv < opts.v_tol
-            && !bufs.sparse_update_consistent()
-        {
-            if let Err(e) = bufs.sparse_refactor(allow_reuse) {
-                tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
-                return Err((x, SimError::from_solve(e, time_label)));
-            }
-            {
-                let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-                s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
-            }
-            bufs.sparse_solves += 1;
-            max_dv = bufs.dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-        }
-        prev_max_dv = max_dv;
-
-        if !max_dv.is_finite() {
+        if !dv.is_finite() {
             tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
             return Err((
                 x,
@@ -415,31 +202,91 @@ fn newton_sparse(
                 },
             ));
         }
-        let scale = if max_dv > opts.v_step_max {
-            opts.v_step_max / max_dv
+        // Damping factor limits voltage moves; branch currents follow suit
+        // so the iterate stays near the linearization.
+        let scale = if dv > V_STEP_MAX {
+            V_STEP_MAX / dv
         } else {
             1.0
         };
         for (xi, di) in x.iter_mut().zip(&bufs.dx) {
             *xi += scale * di;
         }
-        last_delta = max_dv;
-        if max_dv < opts.v_tol {
+        last_delta = dv;
+        if dv < V_TOL {
             tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
             return Ok(x);
         }
     }
-    tfet_obs::record_u64("newton.iters_per_solve", opts.max_iter as u64);
+    tfet_obs::record_u64("newton.iters_per_solve", MAX_ITER as u64);
     tfet_obs::counter("newton.failures", 1);
     Err((
         x,
         SimError::NoConvergence {
             time: time_label,
-            iterations: opts.max_iter,
+            iterations: MAX_ITER,
             last_delta,
             residual_norm: last_residual,
         },
     ))
+}
+
+/// One iteration's linear solve `J·Δx = −f` on the freshly assembled
+/// system: leaves Δx in `bufs.dx` and returns its largest voltage entry.
+///
+/// Reuses the backend's retained factor when `allow_reuse` permits and one
+/// exists; otherwise (and always on the dense backend) refactorizes first.
+/// A solve made with a reused factor goes through the stall guard and the
+/// consistency check described on [`newton`], either of which replaces the
+/// factor by a fresh one and re-solves.
+fn solve_update(
+    bufs: &mut SolverBufs,
+    strategy: SolverStrategy,
+    allow_reuse: bool,
+    prev_max_dv: f64,
+    n_v: usize,
+) -> Result<f64, SolveError> {
+    let max_dv = |dx: &[f64]| dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+    let reused = allow_reuse && bufs.has_reusable_factor(strategy);
+    if reused {
+        bufs.effort.jac_reused += 1;
+    } else {
+        bufs.refactor(strategy, allow_reuse)?;
+    }
+    for (r, v) in bufs.rhs.iter_mut().zip(&bufs.f) {
+        *r = -v;
+    }
+    {
+        let _span = tfet_obs::span("trisolve");
+        bufs.solve(strategy);
+    }
+    let dv = max_dv(&bufs.dx);
+    if !reused || !dv.is_finite() {
+        return Ok(dv);
+    }
+    // Stall guard: a reused factor whose update has stopped shrinking
+    // (contraction worse than ~1.4× per chord iteration) gets replaced by a
+    // fresh factorization of the *already assembled* current Jacobian, and
+    // the step is re-solved within this same iteration. The threshold trades
+    // chord iterations against refactorizations: chord iterations whose
+    // terminal movement sits inside the bypass window cost no device
+    // evaluations, so tolerating a slower but still geometric contraction is
+    // cheaper than refactoring.
+    let stalled = dv >= V_TOL && dv > 0.7 * prev_max_dv;
+    // A convergence claim backed by a reused factor must also be backed by
+    // the *current* Jacobian: verify `J·Δx ≈ −f` with one mat-vec and
+    // refactorize + re-solve when the stale factor no longer solves the
+    // assembled system (e.g. after a step-size change, or after the UIC hold
+    // solve's artificially pinned system). Without this, a factor with an
+    // inflated diagonal yields `Δv ≈ 0` and Newton "converges" instantly
+    // without moving — a frozen waveform, not a solution.
+    let false_convergence = !stalled && dv < V_TOL && !bufs.sparse_update_consistent();
+    if stalled || false_convergence {
+        bufs.refactor(strategy, allow_reuse)?;
+        bufs.solve(strategy);
+        return Ok(max_dv(&bufs.dx));
+    }
+    Ok(dv)
 }
 
 /// Full operating-point solve with g_min-stepping fallback.
@@ -458,7 +305,7 @@ pub(crate) fn solve_op(
     x0: Vec<f64>,
     t: f64,
     caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
+    mode: NewtonMode,
     time_label: Option<f64>,
     anchored: bool,
 ) -> Result<Vec<f64>, SimError> {
@@ -472,7 +319,7 @@ pub(crate) fn solve_op(
     let mut x = x0;
     if !anchored {
         // Fast path: plain Newton from the guess.
-        match newton(mna, bufs, x, t, 0.0, None, caps, opts, time_label) {
+        match newton(mna, bufs, x, t, 0.0, None, caps, mode, time_label) {
             Ok(x) => return Ok(x),
             Err((best, _)) => {
                 // Reuse the returned vector; restart the ladder from the
@@ -496,7 +343,7 @@ pub(crate) fn solve_op(
             gmin,
             Some(anchor_buf),
             caps,
-            opts,
+            mode,
             time_label,
         ) {
             Ok(next) => x = next,
@@ -623,9 +470,11 @@ impl Circuit {
                 x0[vs.plus.index() - 1] = vs.wave.initial();
             }
         }
-        let opts = NewtonOpts {
+        // DC solves carry no companion caps, so they always evaluate every
+        // device: the latency mode has nothing to switch.
+        let mode = NewtonMode {
             strategy,
-            ..NewtonOpts::default()
+            latency: DeviceLatency::Off,
         };
         // An explicit guess means the caller is selecting among operating
         // points: follow the anchored continuation so the basin survives.
@@ -637,7 +486,7 @@ impl Circuit {
             x0,
             0.0,
             None,
-            &opts,
+            mode,
             None,
             anchored,
         )

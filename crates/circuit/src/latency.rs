@@ -32,8 +32,7 @@
 //! fixed refresh point and can never creep past tolerance unnoticed.
 //!
 //! Orthogonally, the module owns the process-wide knobs for this tier:
-//! [`DeviceLatency`] (the on/off switch, mirrored per-call in
-//! [`NewtonOpts`](crate::NewtonOpts) and
+//! [`DeviceLatency`] (the on/off switch, mirrored per-run in
 //! [`TransientSpec`](crate::TransientSpec) so tests can compare both modes
 //! without racing a global), and [`set_assembly_threads`] for the
 //! deterministic parallel device-evaluation fan-out (per-device results are
@@ -49,8 +48,7 @@ use tfet_numerics::GroupedIndices;
 /// cache beneath it) is active for a solve.
 ///
 /// `Off` is the clean full-evaluation baseline: every transistor model is
-/// evaluated on every Newton iteration, exactly like the dense reference
-/// path. The figure CSV identity gate in `scripts/check.sh` diffs the two
+/// evaluated on every Newton iteration, exactly like the dense backend. The figure CSV identity gate in `scripts/check.sh` diffs the two
 /// modes byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceLatency {

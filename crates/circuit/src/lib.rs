@@ -11,9 +11,10 @@
 //!   [`tfet_devices::model::DeviceModel`];
 //! * [`waveform`] — DC, piecewise-linear, and pulse stimuli;
 //! * [`mna`] — modified nodal analysis assembly (Jacobian + residual stamps);
-//! * [`dc`] — Newton–Raphson operating point with g_min stepping and
-//!   per-iteration voltage-step limiting (the damping that tames the
-//!   exponential TFET reverse diode);
+//! * [`dc`] — the one damped modified-Newton loop behind every solve, and
+//!   the operating point built on it: g_min stepping and per-iteration
+//!   voltage-step limiting (the damping that tames the exponential TFET
+//!   reverse diode);
 //! * [`transient`] — backward-Euler or trapezoidal integration with a full
 //!   Newton solve per step and nonlinear device capacitances re-linearized
 //!   each step; adaptive step-doubling LTE control with a source-edge
@@ -29,13 +30,15 @@
 //!   models in place, and repeated runs reuse one owned workspace. Every
 //!   run reports build/bind/run counters through [`SolveStats`].
 //!
-//! The default linear-solve path ([`SolverStrategy::Sparse`]) assembles the
-//! Jacobian into a sparsity pattern frozen at compile time and factorizes it
-//! with an analyze-once/refactorize-many sparse LU, layering modified-Newton
-//! factorization reuse and device-evaluation bypass on top. The legacy dense
-//! path ([`SolverStrategy::Dense`]) is retained byte-for-byte as a
-//! cross-check: figure outputs must be bit-identical under either strategy
-//! at default tolerances.
+//! The Newton loop solves its linear systems on one of two backends. The
+//! default ([`SolverStrategy::Sparse`]) assembles the Jacobian into a
+//! sparsity pattern frozen at compile time and factorizes it with an
+//! analyze-once/refactorize-many sparse LU, layering modified-Newton
+//! factorization reuse and device-evaluation bypass on top. The dense
+//! backend ([`SolverStrategy::Dense`]) refactorizes a dense LU and
+//! evaluates every device on every iteration, so reuse and bypass never
+//! engage; it is the cross-check: figure outputs must be bit-identical
+//! under either backend at default tolerances.
 //!
 //! For array-scale netlists the [`latency`] module adds a third tier:
 //! circuits may register [`CellPartition`]s (one per bitcell), and the
@@ -81,7 +84,7 @@ pub mod waveform;
 pub mod workspace;
 
 pub use compiled::{CompiledCircuit, ParamHandle};
-pub use dc::{DcResult, NewtonOpts, SolverStrategy};
+pub use dc::{DcResult, SolverStrategy};
 pub use error::SimError;
 pub use latency::{
     set_assembly_threads, CellPartition, DeviceLatency, GuardKind, PartitionTelemetry,

@@ -4,12 +4,12 @@
 //! every non-ground node followed by the branch currents of the `M`
 //! independent voltage sources. The nonlinear system `f(x) = 0` collects a
 //! KCL residual (sum of currents *leaving* the node) per node and a
-//! branch-voltage constraint per source; [`Mna::assemble`] evaluates `f` and
-//! its Jacobian at a candidate `x` so Newton–Raphson can iterate.
+//! branch-voltage constraint per source; assembly evaluates `f` and its
+//! Jacobian at a candidate `x` so Newton–Raphson can iterate.
 
 use crate::error::SimError;
 use crate::latency::{assembly_threads, LatencyState, PAR_EVAL_MIN};
-use crate::netlist::{Circuit, NodeId};
+use crate::netlist::{Circuit, NodeId, Transistor};
 use tfet_numerics::{par_for_each_mut, GroupedIndices, Matrix, SparseMatrix, SparsityPattern};
 
 /// Jacobian assembly target: dense [`Matrix`] or pattern-backed
@@ -319,6 +319,45 @@ pub(crate) struct DeviceLin {
     pub gss: f64,
 }
 
+impl DeviceLin {
+    /// Full model evaluation of `m` at terminal voltages `vg/vd/vs`:
+    /// current and conductances per µm, scaled by the device width.
+    #[inline]
+    fn evaluate(m: &Transistor, vg: f64, vd: f64, vs: f64) -> DeviceLin {
+        let w = m.width_um;
+        let i = w * m.model.ids_per_um(vg, vd, vs);
+        let (gm_u, gds_u, gs_u) = m.model.conductances_per_um(vg, vd, vs);
+        DeviceLin {
+            valid: true,
+            vg,
+            vd,
+            vs,
+            i,
+            gm: w * gm_u,
+            gds: w * gds_u,
+            gss: w * gs_u,
+        }
+    }
+
+    /// Whether this cached linearization may stand in for a model
+    /// evaluation at `vg/vd/vs`: it is valid and every terminal moved less
+    /// than [`BYPASS_VTOL`] since it was taken.
+    #[inline]
+    fn covers(&self, vg: f64, vd: f64, vs: f64) -> bool {
+        self.valid
+            && (vg - self.vg).abs() < BYPASS_VTOL
+            && (vd - self.vd).abs() < BYPASS_VTOL
+            && (vs - self.vs).abs() < BYPASS_VTOL
+    }
+
+    /// The first-order current at `vg/vd/vs` — exact at the evaluation
+    /// point, second-order accurate within the bypass window.
+    #[inline]
+    fn current_at(&self, vg: f64, vd: f64, vs: f64) -> f64 {
+        self.i + self.gm * (vg - self.vg) + self.gds * (vd - self.vd) + self.gss * (vs - self.vs)
+    }
+}
+
 /// Terminal-voltage movement below which a cached device linearization is
 /// reused instead of re-evaluating the model.
 ///
@@ -486,7 +525,8 @@ impl<'c> Mna<'c> {
         }
     }
 
-    /// Evaluates the residual `f(x)` and Jacobian `J(x)` at time `t`.
+    /// Evaluates the residual `f(x)` and Jacobian `J(x)` at time `t`,
+    /// stamping into any [`JacTarget`] (dense or pattern-backed sparse).
     ///
     /// * `gmin` — convergence-aid conductance from every node toward its
     ///   anchor voltage (0 for the final, physical solve);
@@ -498,30 +538,7 @@ impl<'c> Mna<'c> {
     /// * `caps` — companion-model capacitor branches for transient steps
     ///   (`None` for DC: capacitors are open circuits).
     ///
-    /// `j` must be `n_x × n_x` and `f` of length `n_x`; both are cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x`, `f`, `j` or `anchor` have the wrong dimensions.
-    #[allow(clippy::too_many_arguments)] // solver-internal hot path; a config struct would obscure the MNA math
-    pub fn assemble(
-        &self,
-        x: &[f64],
-        t: f64,
-        gmin: f64,
-        anchor: Option<&[f64]>,
-        caps: Option<&CompanionCaps>,
-        j: &mut Matrix,
-        f: &mut [f64],
-    ) {
-        assert_eq!(j.rows(), self.n_x, "jacobian rows");
-        self.assemble_into(x, t, gmin, anchor, caps, j, f, None);
-    }
-
-    /// Target-generic assembly with optional device-evaluation bypass.
-    ///
-    /// Like [`Mna::assemble`], but stamps into any [`JacTarget`] (dense or
-    /// pattern-backed sparse). When `cache` is given, transistors whose
+    /// `j` and `f` are cleared first. When `cache` is given, transistors whose
     /// terminal voltages all moved less than [`BYPASS_VTOL`] since their last
     /// full evaluation are stamped from the cached linearization instead of
     /// re-evaluating the device model (see [`DeviceLin`]); the cache is
@@ -633,35 +650,17 @@ impl<'c> Mna<'c> {
             let vs = self.voltage_of(x, m.s);
             let entry = cache.as_deref_mut().map(|c| &mut c[idx]);
             let (i, gm, gds, gss) = match entry {
-                Some(e)
-                    if e.valid
-                        && (vg - e.vg).abs() < BYPASS_VTOL
-                        && (vd - e.vd).abs() < BYPASS_VTOL
-                        && (vs - e.vs).abs() < BYPASS_VTOL =>
-                {
+                Some(e) if e.covers(vg, vd, vs) => {
                     stats.bypassed += 1;
-                    let i = e.i + e.gm * (vg - e.vg) + e.gds * (vd - e.vd) + e.gss * (vs - e.vs);
-                    (i, e.gm, e.gds, e.gss)
+                    (e.current_at(vg, vd, vs), e.gm, e.gds, e.gss)
                 }
                 entry => {
                     stats.evals += 1;
-                    let w = m.width_um;
-                    let i = w * m.model.ids_per_um(vg, vd, vs);
-                    let (gm_u, gds_u, gs_u) = m.model.conductances_per_um(vg, vd, vs);
-                    let (gm, gds, gss) = (w * gm_u, w * gds_u, w * gs_u);
+                    let lin = DeviceLin::evaluate(m, vg, vd, vs);
                     if let Some(e) = entry {
-                        *e = DeviceLin {
-                            valid: true,
-                            vg,
-                            vd,
-                            vs,
-                            i,
-                            gm,
-                            gds,
-                            gss,
-                        };
+                        *e = lin;
                     }
-                    (i, gm, gds, gss)
+                    (lin.i, lin.gm, lin.gds, lin.gss)
                 }
             };
 
@@ -779,15 +778,10 @@ impl<'c> Mna<'c> {
                     true
                 }
             } else {
-                let e = &cache[idx];
                 let vg = self.voltage_of(x, m.g);
                 let vd = self.voltage_of(x, m.d);
                 let vs = self.voltage_of(x, m.s);
-                if e.valid
-                    && (vg - e.vg).abs() < BYPASS_VTOL
-                    && (vd - e.vd).abs() < BYPASS_VTOL
-                    && (vs - e.vs).abs() < BYPASS_VTOL
-                {
+                if cache[idx].covers(vg, vd, vs) {
                     stats.bypassed += 1;
                     false
                 } else {
@@ -808,19 +802,7 @@ impl<'c> Mna<'c> {
             let vg = self.voltage_of(x, m.g);
             let vd = self.voltage_of(x, m.d);
             let vs = self.voltage_of(x, m.s);
-            let w = m.width_um;
-            let i = w * m.model.ids_per_um(vg, vd, vs);
-            let (gm_u, gds_u, gs_u) = m.model.conductances_per_um(vg, vd, vs);
-            *e = DeviceLin {
-                valid: true,
-                vg,
-                vd,
-                vs,
-                i,
-                gm: w * gm_u,
-                gds: w * gds_u,
-                gss: w * gs_u,
-            };
+            *e = DeviceLin::evaluate(m, vg, vd, vs);
         };
         let threads = assembly_threads();
         if n_eval >= PAR_EVAL_MIN && threads > 1 {
@@ -846,8 +828,7 @@ impl<'c> Mna<'c> {
             let vg = self.voltage_of(x, m.g);
             let vd = self.voltage_of(x, m.d);
             let vs = self.voltage_of(x, m.s);
-            let i = e.i + e.gm * (vg - e.vg) + e.gds * (vd - e.vd) + e.gss * (vs - e.vs);
-            self.stamp_current(f, m.d, m.s, i);
+            self.stamp_current(f, m.d, m.s, e.current_at(vg, vd, vs));
             if lat.eval_mask[idx] {
                 inc.restamp_device(idx, e);
             }
@@ -885,7 +866,7 @@ impl<'c> Mna<'c> {
         stats
     }
 
-    /// Visits every Jacobian coordinate `assemble` can ever touch —
+    /// Visits every Jacobian coordinate assembly can ever touch —
     /// *structurally*, from the netlist alone, independent of bias.
     ///
     /// This over-approximates any single assembly: all four device
@@ -1004,7 +985,7 @@ mod tests {
         let x = vec![1.0, 0.5, -0.5e-3];
         let mut j = Matrix::zeros(3, 3);
         let mut f = vec![0.0; 3];
-        mna.assemble(&x, 0.0, 0.0, None, None, &mut j, &mut f);
+        mna.assemble_into(&x, 0.0, 0.0, None, None, &mut j, &mut f, None);
         for (k, r) in f.iter().enumerate() {
             assert!(r.abs() < 1e-12, "residual {k} = {r:e}");
         }
@@ -1023,7 +1004,7 @@ mod tests {
         let x = vec![0.7, 0.3, 1e-4];
         let mut j = Matrix::zeros(n, n);
         let mut f0 = vec![0.0; n];
-        mna.assemble(&x, 0.0, 0.0, None, None, &mut j, &mut f0);
+        mna.assemble_into(&x, 0.0, 0.0, None, None, &mut j, &mut f0, None);
 
         let h = 1e-7;
         for col in 0..n {
@@ -1031,7 +1012,7 @@ mod tests {
             xp[col] += h;
             let mut jp = Matrix::zeros(n, n);
             let mut fp = vec![0.0; n];
-            mna.assemble(&xp, 0.0, 0.0, None, None, &mut jp, &mut fp);
+            mna.assemble_into(&xp, 0.0, 0.0, None, None, &mut jp, &mut fp, None);
             for row in 0..n {
                 let fd = (fp[row] - f0[row]) / h;
                 assert!(
@@ -1059,7 +1040,7 @@ mod tests {
         let mut f = vec![0.0];
         // With gmin = 1e-3 and v_a = 1 mV, the node balances: 1 µA in,
         // 1 µA out through gmin.
-        mna.assemble(&[1e-3], 0.0, 1e-3, None, None, &mut j, &mut f);
+        mna.assemble_into(&[1e-3], 0.0, 1e-3, None, None, &mut j, &mut f, None);
         assert!((f[0]).abs() < 1e-15);
         assert!((j[(0, 0)] - 1e-3).abs() < 1e-18);
     }
@@ -1077,7 +1058,7 @@ mod tests {
         let mut f = vec![0.0];
         // v_a such that resistor + companion currents cancel:
         // v/1e3 + 1e-3·v − 0.5e-3 = 0 → v = 0.25.
-        mna.assemble(&[0.25], 0.0, 0.0, None, Some(&caps), &mut j, &mut f);
+        mna.assemble_into(&[0.25], 0.0, 0.0, None, Some(&caps), &mut j, &mut f, None);
         assert!(f[0].abs() < 1e-15, "f = {:e}", f[0]);
         assert!((j[(0, 0)] - 2e-3).abs() < 1e-18);
     }

@@ -35,7 +35,7 @@
 //! and held for the step (standard charge-conserving-enough linearization at
 //! the small steps used here).
 
-use crate::dc::{solve_op, NewtonOpts, SolverStrategy};
+use crate::dc::{solve_op, NewtonMode, SolverStrategy};
 use crate::error::SimError;
 use crate::latency::DeviceLatency;
 use crate::mna::{CompanionCaps, Mna};
@@ -163,8 +163,8 @@ impl TransientSpec {
         self
     }
 
-    /// Selects the linear-solve strategy (builder style). [`SolverStrategy::Dense`]
-    /// is the bit-exact legacy cross-check path.
+    /// Selects the linear-solve backend (builder style). [`SolverStrategy::Dense`]
+    /// is the dense-LU cross-check backend.
     pub fn with_solver(mut self, solver: SolverStrategy) -> Self {
         self.solver = solver;
         self
@@ -435,7 +435,7 @@ fn rescue_step(
     x_last: Vec<f64>,
     t: f64,
     t_new: f64,
-    opts: &NewtonOpts,
+    mode: NewtonMode,
     stats: &mut SolveStats,
 ) -> Option<Vec<f64>> {
     let _s_rescue = tfet_obs::span("rescue");
@@ -472,7 +472,7 @@ fn rescue_step(
                 std::mem::take(&mut x),
                 t_k,
                 Some(&comps),
-                opts,
+                mode,
                 Some(t_k),
                 anchored,
             );
@@ -645,10 +645,9 @@ impl Circuit {
         let _span = tfet_obs::span("transient");
         let mna = Mna::new(self)?;
         let n_v = mna.voltage_count();
-        let opts = NewtonOpts {
+        let mode = NewtonMode {
             strategy: spec.solver,
             latency: spec.latency,
-            ..NewtonOpts::default()
         };
         // Fresh run: device-bypass operating points and retained
         // factorizations from any previous run are stale by definition.
@@ -659,17 +658,7 @@ impl Circuit {
         if let Some(lat) = ws.bufs.latency.as_mut() {
             lat.reset_telemetry();
         }
-        let solves0 = ws.bufs.newton_solves;
-        let iters0 = ws.bufs.newton_iters;
-        let refac0 = ws.bufs.jac_refactored;
-        let reused0 = ws.bufs.jac_reused;
-        let evals0 = ws.bufs.device_evals;
-        let bypassed0 = ws.bufs.devices_bypassed;
-        let analyses0 = ws.bufs.sparse_analyses;
-        let ssolves0 = ws.bufs.sparse_solves;
-        let dormant0 = ws.bufs.devices_dormant;
-        let crefresh0 = ws.bufs.cells_refreshed;
-        let grefresh0 = ws.bufs.guard_refreshes;
+        let effort0 = ws.bufs.effort;
         ws.step_trace.clear();
 
         // --- Initial state -------------------------------------------------
@@ -704,7 +693,7 @@ impl Circuit {
                     x0,
                     0.0,
                     Some(&hold),
-                    &opts,
+                    mode,
                     Some(0.0),
                     false,
                 ) {
@@ -754,7 +743,7 @@ impl Circuit {
                         x,
                         t_new,
                         Some(&ws.companions),
-                        &opts,
+                        mode,
                         Some(t_new),
                         false,
                     ) {
@@ -773,7 +762,7 @@ impl Circuit {
                                 x_last,
                                 t_new - spec.dt,
                                 t_new,
-                                &opts,
+                                mode,
                                 &mut result.stats,
                             );
                             match rescued {
@@ -858,7 +847,7 @@ impl Circuit {
                             std::mem::take(&mut ws.x_coarse),
                             t_new,
                             Some(&ws.companions),
-                            &opts,
+                            mode,
                             Some(t_new),
                             false,
                         ) {
@@ -886,7 +875,7 @@ impl Circuit {
                                 std::mem::take(&mut ws.x_fine),
                                 t_mid,
                                 Some(&ws.companions),
-                                &opts,
+                                mode,
                                 Some(t_mid),
                                 false,
                             ) {
@@ -917,7 +906,7 @@ impl Circuit {
                                 std::mem::take(&mut ws.x_fine),
                                 t_new,
                                 Some(&ws.companions),
-                                &opts,
+                                mode,
                                 Some(t_new),
                                 false,
                             ) {
@@ -985,7 +974,7 @@ impl Circuit {
                                 x.clone(),
                                 t,
                                 t_new,
-                                &opts,
+                                mode,
                                 &mut result.stats,
                             );
                             match rescued {
@@ -1046,15 +1035,8 @@ impl Circuit {
             }
         }
 
-        result.stats.newton_solves = ws.bufs.newton_solves - solves0;
-        result.stats.newton_iters = ws.bufs.newton_iters - iters0;
-        result.stats.jac_refactored = ws.bufs.jac_refactored - refac0;
-        result.stats.jac_reused = ws.bufs.jac_reused - reused0;
-        result.stats.device_evals = ws.bufs.device_evals - evals0;
-        result.stats.devices_bypassed = ws.bufs.devices_bypassed - bypassed0;
-        result.stats.devices_dormant = ws.bufs.devices_dormant - dormant0;
-        result.stats.cells_refreshed = ws.bufs.cells_refreshed - crefresh0;
-        result.stats.guard_refreshes = ws.bufs.guard_refreshes - grefresh0;
+        let effort = ws.bufs.effort.since(&effort0);
+        effort.record_into(&mut result.stats);
         result.stats.runs = 1;
         // Harvest this run's per-partition dormancy telemetry (zeroed at run
         // entry, accumulated serially in the decide phase — identical at any
@@ -1082,15 +1064,9 @@ impl Circuit {
                 // Symbolic analyses are per-worker warm-up (each thread's
                 // workspace analyzes once per topology), so they live in the
                 // scheduling-dependent `work` section, not `counters`.
-                tfet_obs::work(
-                    "solver.sparse_analyses",
-                    ws.bufs.sparse_analyses - analyses0,
-                );
-                tfet_obs::counter(
-                    "solver.sparse_refactorizations",
-                    ws.bufs.jac_refactored - refac0,
-                );
-                tfet_obs::counter("solver.sparse_solves", ws.bufs.sparse_solves - ssolves0);
+                tfet_obs::work("solver.sparse_analyses", effort.sparse_analyses);
+                tfet_obs::counter("solver.sparse_refactorizations", effort.jac_refactored);
+                tfet_obs::counter("solver.sparse_solves", effort.trisolves);
             }
         }
         Ok(result)

@@ -16,41 +16,115 @@
 //! e.g. to hold buffers across many
 //! [`transient_with`](crate::netlist::Circuit) calls — can own one
 //! directly.
+//!
+//! The buffers also host the two linear-solve backends the single Newton
+//! loop (`dc::newton`) drives: a `DenseState` (n×n matrix + dense LU) and
+//! a `SparseState` (pattern-backed matrix + sparse LU + factor reuse),
+//! each built lazily on the first solve under its [`SolverStrategy`], so a
+//! sparse run never sizes an n² matrix.
 
-use crate::latency::{partition_signature, LatencyState};
-use crate::mna::{CompanionCaps, DeviceLin, IncrementalJac, Mna};
+use crate::dc::{NewtonMode, SolverStrategy};
+use crate::latency::{partition_signature, DeviceLatency, LatencyState};
+use crate::mna::{AssemblyStats, CompanionCaps, DeviceLin, IncrementalJac, Mna};
+use crate::probe::SolveStats;
 use crate::transient::CapBranch;
 use std::cell::Cell;
-use tfet_numerics::matrix::LuWorkspace;
+use tfet_numerics::matrix::{LuWorkspace, SolveError};
 use tfet_numerics::{Matrix, SparseLu, SparseMatrix, SparsityPattern};
 
 /// Fixed capacity of [`SolverBufs::res_history`], reserved once when the
 /// buffers are first sized so per-iteration pushes can never reallocate
 /// (the counting-allocator regression pins step-count-independent allocs).
-/// Larger than the default Newton iteration limit (200), so a full history
-/// is kept for any default-configured solve.
+/// Larger than the Newton iteration limit (200), so a full history is kept
+/// for every solve.
 pub(crate) const RES_HISTORY_CAP: usize = 256;
 
-/// Buffers for one damped-Newton solve: Jacobian, residual, negated RHS,
-/// update vector, and the LU factorization workspace — plus lifetime
-/// counters of solver effort (solves started, iterations performed) that
-/// the transient engine snapshots to report per-run statistics.
-#[derive(Debug)]
+/// Monotone counters of solver effort since a workspace was created.
+/// Consumers measure a run by differencing two snapshots
+/// ([`Effort::since`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Effort {
+    /// Newton solves started.
+    pub(crate) newton_solves: u64,
+    /// Newton iterations (Jacobian assemblies).
+    pub(crate) newton_iters: u64,
+    /// Jacobian factorizations performed (dense or sparse).
+    pub(crate) jac_refactored: u64,
+    /// Newton iterations that reused a previous factorization.
+    pub(crate) jac_reused: u64,
+    /// Full transistor model evaluations during assembly.
+    pub(crate) device_evals: u64,
+    /// Transistor stamps served from the bypass cache.
+    pub(crate) devices_bypassed: u64,
+    /// Sparse symbolic analyses performed.
+    pub(crate) sparse_analyses: u64,
+    /// Triangular solves performed (dense or sparse).
+    pub(crate) trisolves: u64,
+    /// Transistor stamps replayed for devices inside a dormant latency
+    /// partition.
+    pub(crate) devices_dormant: u64,
+    /// Latency partitions refreshed — all member devices re-evaluated in
+    /// one assembly.
+    pub(crate) cells_refreshed: u64,
+    /// Partition refreshes forced by guard-node movement alone.
+    pub(crate) guard_refreshes: u64,
+}
+
+impl Effort {
+    /// Accumulates one assembly's transistor-section breakdown.
+    fn add_assembly(&mut self, s: &AssemblyStats) {
+        self.device_evals += s.evals;
+        self.devices_bypassed += s.bypassed;
+        self.devices_dormant += s.dormant;
+        self.cells_refreshed += s.cells_refreshed;
+        self.guard_refreshes += s.guard_refreshes;
+    }
+
+    /// The effort spent between snapshot `earlier` and this one.
+    pub(crate) fn since(&self, earlier: &Effort) -> Effort {
+        Effort {
+            newton_solves: self.newton_solves - earlier.newton_solves,
+            newton_iters: self.newton_iters - earlier.newton_iters,
+            jac_refactored: self.jac_refactored - earlier.jac_refactored,
+            jac_reused: self.jac_reused - earlier.jac_reused,
+            device_evals: self.device_evals - earlier.device_evals,
+            devices_bypassed: self.devices_bypassed - earlier.devices_bypassed,
+            sparse_analyses: self.sparse_analyses - earlier.sparse_analyses,
+            trisolves: self.trisolves - earlier.trisolves,
+            devices_dormant: self.devices_dormant - earlier.devices_dormant,
+            cells_refreshed: self.cells_refreshed - earlier.cells_refreshed,
+            guard_refreshes: self.guard_refreshes - earlier.guard_refreshes,
+        }
+    }
+
+    /// Copies the counters [`SolveStats`] reports into `stats`.
+    pub(crate) fn record_into(&self, stats: &mut SolveStats) {
+        stats.newton_solves = self.newton_solves;
+        stats.newton_iters = self.newton_iters;
+        stats.jac_refactored = self.jac_refactored;
+        stats.jac_reused = self.jac_reused;
+        stats.device_evals = self.device_evals;
+        stats.devices_bypassed = self.devices_bypassed;
+        stats.devices_dormant = self.devices_dormant;
+        stats.cells_refreshed = self.cells_refreshed;
+        stats.guard_refreshes = self.guard_refreshes;
+    }
+}
+
+/// Buffers for one damped-Newton solve: residual, negated RHS, update
+/// vector, the lazily built linear-solve backends — plus the lifetime
+/// [`Effort`] counters that the transient engine snapshots to report
+/// per-run statistics.
+#[derive(Debug, Default)]
 pub(crate) struct SolverBufs {
-    pub(crate) j: Matrix,
     pub(crate) f: Vec<f64>,
     pub(crate) rhs: Vec<f64>,
     pub(crate) dx: Vec<f64>,
     /// Mat-vec scratch for the reused-factor consistency check
     /// ([`Self::sparse_update_consistent`]).
     pub(crate) scratch: Vec<f64>,
-    pub(crate) lu: LuWorkspace,
-    /// Newton solves started since this workspace was created (monotone;
-    /// consumers measure effort by differencing snapshots).
-    pub(crate) newton_solves: u64,
-    /// Newton iterations (Jacobian assemblies + LU factorizations) since
-    /// this workspace was created.
-    pub(crate) newton_iters: u64,
+    /// Solver effort since this workspace was created (monotone).
+    pub(crate) effort: Effort,
     /// Residual infinity-norm after each iteration of the most recent
     /// Newton attempt (cleared per attempt; capped at
     /// [`RES_HISTORY_CAP`]). Feeds [`SimError::NoConvergence`]'s
@@ -58,6 +132,9 @@ pub(crate) struct SolverBufs {
     ///
     /// [`SimError::NoConvergence`]: crate::SimError::NoConvergence
     pub(crate) res_history: Vec<f64>,
+    /// Dense solver state, built on first use under the dense strategy and
+    /// resized when the unknown count changes.
+    pub(crate) dense: Option<DenseState>,
     /// Sparse solver state (pattern-backed Jacobian + factorization engine),
     /// built on first use under the sparse strategy and keyed on the MNA
     /// pattern signature so same-topology runs reuse the symbolic analysis.
@@ -69,26 +146,14 @@ pub(crate) struct SolverBufs {
     /// circuit with registered partitions and keyed on the combined
     /// topology + partition signature; `None` for unpartitioned circuits.
     pub(crate) latency: Option<LatencyState>,
-    /// Jacobian factorizations performed (dense or sparse; monotone).
-    pub(crate) jac_refactored: u64,
-    /// Newton iterations that reused a previous factorization (monotone).
-    pub(crate) jac_reused: u64,
-    /// Full transistor model evaluations during assembly (monotone).
-    pub(crate) device_evals: u64,
-    /// Transistor stamps served from the bypass cache (monotone).
-    pub(crate) devices_bypassed: u64,
-    /// Sparse symbolic analyses performed (monotone).
-    pub(crate) sparse_analyses: u64,
-    /// Sparse triangular solves performed (monotone).
-    pub(crate) sparse_solves: u64,
-    /// Transistor stamps replayed for devices inside a dormant latency
-    /// partition (monotone).
-    pub(crate) devices_dormant: u64,
-    /// Latency partitions refreshed — all member devices re-evaluated in
-    /// one assembly (monotone).
-    pub(crate) cells_refreshed: u64,
-    /// Partition refreshes forced by guard-node movement alone (monotone).
-    pub(crate) guard_refreshes: u64,
+}
+
+/// Dense linear-solve state: the n×n Jacobian and its LU workspace. The
+/// dense backend refactorizes every iteration and never keeps a factor.
+#[derive(Debug)]
+pub(crate) struct DenseState {
+    pub(crate) j: Matrix,
+    pub(crate) lu: LuWorkspace,
 }
 
 /// Sparse linear-solve state: the pattern-backed Jacobian the MNA stamps
@@ -111,40 +176,11 @@ pub(crate) struct SparseState {
     pub(crate) inc: IncrementalJac,
 }
 
-impl Default for SolverBufs {
-    fn default() -> Self {
-        SolverBufs {
-            j: Matrix::zeros(0, 0),
-            f: Vec::new(),
-            rhs: Vec::new(),
-            dx: Vec::new(),
-            scratch: Vec::new(),
-            lu: LuWorkspace::default(),
-            newton_solves: 0,
-            newton_iters: 0,
-            res_history: Vec::new(),
-            sparse: None,
-            device_cache: Vec::new(),
-            latency: None,
-            jac_refactored: 0,
-            jac_reused: 0,
-            device_evals: 0,
-            devices_bypassed: 0,
-            sparse_analyses: 0,
-            sparse_solves: 0,
-            devices_dormant: 0,
-            cells_refreshed: 0,
-            guard_refreshes: 0,
-        }
-    }
-}
-
 impl SolverBufs {
-    /// Sizes every buffer for an `n`-unknown system; a no-op when already
-    /// at that size.
+    /// Sizes every vector for an `n`-unknown system; a no-op when already
+    /// at that size. The backends' matrices are sized by [`Self::prepare`].
     pub(crate) fn ensure(&mut self, n: usize) {
         if self.f.len() != n {
-            self.j = Matrix::zeros(n, n);
             self.f = vec![0.0; n];
             self.rhs = vec![0.0; n];
             self.dx = vec![0.0; n];
@@ -152,6 +188,20 @@ impl SolverBufs {
             if self.res_history.capacity() < RES_HISTORY_CAP {
                 self.res_history
                     .reserve_exact(RES_HISTORY_CAP - self.res_history.len());
+            }
+        }
+    }
+
+    /// Sizes the vectors and builds (or keeps) the backend `strategy`
+    /// solves `mna` with: the dense matrix, or the sparse pattern plus the
+    /// latency-tier state.
+    pub(crate) fn prepare(&mut self, mna: &Mna<'_>, strategy: SolverStrategy) {
+        self.ensure(mna.unknown_count());
+        match strategy {
+            SolverStrategy::Dense => self.ensure_dense(mna.unknown_count()),
+            SolverStrategy::Sparse => {
+                self.ensure_sparse(mna);
+                self.ensure_latency(mna);
             }
         }
     }
@@ -170,6 +220,18 @@ impl SolverBufs {
         if let Some(l) = &mut self.latency {
             l.invalidate();
         }
+    }
+
+    /// Ensures an `n × n` dense state exists, allocating only when the
+    /// dimension changed.
+    pub(crate) fn ensure_dense(&mut self, n: usize) {
+        if self.dense.as_ref().is_some_and(|d| d.j.rows() == n) {
+            return;
+        }
+        self.dense = Some(DenseState {
+            j: Matrix::zeros(n, n),
+            lu: LuWorkspace::new(n),
+        });
     }
 
     /// Ensures sparse state matching `mna`'s topology exists, building the
@@ -211,39 +273,126 @@ impl SolverBufs {
         self.latency = Some(LatencyState::build(mna.circuit(), sig));
     }
 
-    /// (Re)factorizes the sparse Jacobian currently held in
-    /// [`SparseState::jac`]: symbolic analysis on first use (or as a one-shot
-    /// pivot-order refresh after a refactorization failure), the zero-alloc
-    /// numeric replay otherwise. `gmin_zero` gates whether the resulting
-    /// factors are eligible for modified-Newton reuse.
-    pub(crate) fn sparse_refactor(
+    /// Assembles the residual into `f` and the Jacobian into the backend
+    /// `mode.strategy` selects, accumulating the assembly's effort.
+    ///
+    /// Dense assembly always evaluates every device. Sparse assembly
+    /// bypasses settled devices — and, for partitioned circuits, skips
+    /// dormant cells and maintains the Jacobian incrementally
+    /// ([`Mna::assemble_sparse_latent`]) — but only in transient solves
+    /// under [`DeviceLatency::On`]: those solves are LTE-controlled, so the
+    /// (second-order) extrapolation error stays far inside the
+    /// step-acceptance budget. DC operating points are solved with full
+    /// evaluations — they are rare, and they anchor accuracy contracts (VTC
+    /// sweeps, SNM extraction) at the Newton tolerance itself.
+    /// `DeviceLatency::Off` gives the clean full-evaluation baseline the
+    /// figure-identity gate compares against.
+    #[allow(clippy::too_many_arguments)] // solver-internal
+    pub(crate) fn assemble(
         &mut self,
+        mna: &Mna<'_>,
+        x: &[f64],
+        t: f64,
+        gmin: f64,
+        anchor: Option<&[f64]>,
+        caps: Option<&CompanionCaps>,
+        mode: NewtonMode,
+    ) {
+        let stats = match mode.strategy {
+            SolverStrategy::Dense => {
+                let d = self.dense.as_mut().expect("dense state prepared");
+                mna.assemble_into(x, t, gmin, anchor, caps, &mut d.j, &mut self.f, None)
+            }
+            SolverStrategy::Sparse => {
+                let s = self.sparse.as_mut().expect("sparse state prepared");
+                let use_cache = caps.is_some() && mode.latency == DeviceLatency::On;
+                match (use_cache, self.latency.as_mut(), caps) {
+                    (true, Some(lat), Some(caps)) => mna.assemble_sparse_latent(
+                        x,
+                        t,
+                        gmin,
+                        anchor,
+                        caps,
+                        &mut s.jac,
+                        &mut s.inc,
+                        &mut self.f,
+                        &mut self.device_cache,
+                        lat,
+                    ),
+                    _ => {
+                        let cache = use_cache.then_some(&mut self.device_cache);
+                        mna.assemble_into(x, t, gmin, anchor, caps, &mut s.jac, &mut self.f, cache)
+                    }
+                }
+            }
+        };
+        self.effort.add_assembly(&stats);
+    }
+
+    /// Whether the backend holds a factorization this iteration may reuse:
+    /// only the sparse backend ever keeps one (a valid `gmin = 0` factor);
+    /// the dense backend refactorizes every iteration.
+    pub(crate) fn has_reusable_factor(&self, strategy: SolverStrategy) -> bool {
+        strategy == SolverStrategy::Sparse
+            && self
+                .sparse
+                .as_ref()
+                .is_some_and(|s| s.factor_valid && s.lu.is_factored())
+    }
+
+    /// (Re)factorizes the Jacobian the last [`Self::assemble`] produced.
+    ///
+    /// Dense: a full LU of the matrix. Sparse: symbolic analysis on first
+    /// use (or as a one-shot pivot-order refresh after a refactorization
+    /// failure), the zero-alloc numeric replay otherwise; `gmin_zero` gates
+    /// whether the resulting factors are eligible for modified-Newton
+    /// reuse.
+    pub(crate) fn refactor(
+        &mut self,
+        strategy: SolverStrategy,
         gmin_zero: bool,
-    ) -> Result<(), tfet_numerics::matrix::SolveError> {
-        self.jac_refactored += 1;
+    ) -> Result<(), SolveError> {
+        self.effort.jac_refactored += 1;
         // No child spans for the analyze/replay split: each worker's
         // workspace analyzes lazily on first use, so the split is
         // scheduling-dependent — only the total (this span) belongs in the
         // deterministic span tree. `solver.sparse_analyses` lives in the
         // report's `work` section for the same reason.
         let _span = tfet_obs::span("refactor");
-        let mut analyses = 0u64;
+        if strategy == SolverStrategy::Dense {
+            let d = self.dense.as_mut().expect("dense state prepared");
+            return d.lu.factorize(&d.j);
+        }
         let s = self.sparse.as_mut().expect("sparse state prepared");
         let r = if !s.lu.is_analyzed() {
-            analyses += 1;
+            self.effort.sparse_analyses += 1;
             s.lu.analyze(&s.jac)
         } else {
             match s.lu.refactorize(&s.jac) {
                 Ok(()) => Ok(()),
                 Err(_) => {
-                    analyses += 1;
+                    self.effort.sparse_analyses += 1;
                     s.lu.analyze(&s.jac)
                 }
             }
         };
         s.factor_valid = r.is_ok() && gmin_zero;
-        self.sparse_analyses += analyses;
         r
+    }
+
+    /// Solves `J·dx = rhs` with the backend's current factors.
+    pub(crate) fn solve(&mut self, strategy: SolverStrategy) {
+        match strategy {
+            SolverStrategy::Dense => {
+                let d = self.dense.as_ref().expect("dense state prepared");
+                d.lu.solve_into(&self.rhs, &mut self.dx);
+            }
+            SolverStrategy::Sparse => {
+                let s = self.sparse.as_mut().expect("sparse state prepared");
+                s.lu.solve_into(&self.rhs, &mut self.dx);
+            }
+        }
+        self.effort.trisolves += 1;
     }
 
     /// Validates a Newton update computed from a *reused* factorization
@@ -391,7 +540,18 @@ mod tests {
         assert_eq!(bufs.f.as_ptr(), ptr, "same-size ensure must not reallocate");
         bufs.ensure(7);
         assert_eq!(bufs.f.len(), 7);
-        assert_eq!(bufs.j.rows(), 7);
+        // Vectors only: the n×n matrix belongs to the dense backend.
+        assert!(bufs.dense.is_none(), "ensure must not build dense state");
+        bufs.ensure_dense(7);
+        let ptr: *const f64 = &bufs.dense.as_ref().unwrap().j[(0, 0)];
+        bufs.ensure_dense(7);
+        let d = bufs.dense.as_ref().unwrap();
+        assert_eq!(d.j.rows(), 7);
+        assert_eq!(
+            &d.j[(0, 0)] as *const f64,
+            ptr,
+            "same-size dense state is kept"
+        );
     }
 
     #[test]

@@ -21,9 +21,9 @@
 use std::sync::Arc;
 
 use tfet_circuit::transient::InitialState;
-use tfet_circuit::{Circuit, SolverStrategy, TransientSpec, Waveform};
+use tfet_circuit::{Circuit, NewtonWorkspace, SolverStrategy, TransientSpec, Waveform};
 use tfet_devices::model::{Caps, DeviceKind, DeviceModel, Polarity};
-use tfet_devices::tfet::NTfet;
+use tfet_devices::tfet::{NTfet, PTfet};
 
 /// A linear 1 mS "transistor" that reports its drain/source conductances
 /// with the wrong sign — plain Newton diverges on any circuit where its
@@ -188,5 +188,72 @@ fn healthy_run_reuses_factors_and_bypasses_devices_without_escalating() {
         res.final_voltage(out) < 0.4,
         "v = {}",
         res.final_voltage(out)
+    );
+}
+
+/// The dense backend is the same Newton loop with reuse and bypass never
+/// engaged: on a TFET-inverter transient it refactorizes on every
+/// iteration, evaluates every device, builds no sparse state, and lands on
+/// the sparse backend's answer.
+#[test]
+fn dense_backend_refactorizes_every_iteration_and_matches_sparse() {
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let vin = c.node("in");
+    let out = c.node("out");
+    c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(0.8));
+    c.vsource(
+        "VIN",
+        vin,
+        Circuit::GND,
+        Waveform::step(0.0, 0.8, 0.5e-9, 20e-12),
+    );
+    c.capacitor(out, Circuit::GND, 1e-15);
+    c.transistor("MP", Arc::new(PTfet::nominal()), out, vin, vdd, 0.1);
+    c.transistor(
+        "MN",
+        Arc::new(NTfet::nominal()),
+        out,
+        vin,
+        Circuit::GND,
+        0.1,
+    );
+    let run = |solver: SolverStrategy| {
+        let mut ws = NewtonWorkspace::new();
+        let res = c
+            .transient_with(
+                &TransientSpec::fixed(2e-9, 10e-12).with_solver(solver),
+                &InitialState::DcOp(vec![(out, 0.8)]),
+                &mut ws,
+            )
+            .unwrap();
+        (res, format!("{ws:?}"))
+    };
+    let (dense, dense_ws) = run(SolverStrategy::Dense);
+    let (sparse, sparse_ws) = run(SolverStrategy::Sparse);
+
+    let s = &dense.stats;
+    assert_eq!(s.jac_reused, 0, "{s:?}");
+    assert_eq!(s.jac_refactored, s.newton_iters, "{s:?}");
+    assert_eq!(s.devices_bypassed, 0, "{s:?}");
+    assert_eq!(s.device_evals, 2 * s.newton_iters, "{s:?}");
+    assert!(
+        dense_ws.contains("sparse: None"),
+        "dense run built sparse state"
+    );
+    // The probe discriminates: the sparse run does build it, and reuses.
+    assert!(sparse_ws.contains("sparse: Some("));
+    assert!(sparse.stats.jac_reused > 0, "{:?}", sparse.stats);
+
+    for node in [out, vin, vdd] {
+        let (d, sp) = (dense.final_voltage(node), sparse.final_voltage(node));
+        assert!(
+            (d - sp).abs() < 1e-6,
+            "final v = {d} (dense) vs {sp} (sparse)"
+        );
+    }
+    assert!(
+        dense.final_voltage(out) < 0.1,
+        "inverter output did not fall"
     );
 }

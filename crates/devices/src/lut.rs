@@ -108,9 +108,8 @@ impl<M: DeviceModel> DeviceModel for LutDevice<M> {
     }
 
     fn conductances_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64) {
-        // Analytic derivatives of the interpolant itself, replacing the
-        // default trait implementation's three central finite differences
-        // (six extra table evaluations per Newton stamp). With the stored
+        // Analytic derivatives of the interpolant itself: no extra table
+        // evaluations beyond the one `t` lookup. With the stored
         // transform t(x, y) = asinh(I/I₀) at x = v_gs, y = v_ds:
         //   I = I₀·sinh t  ⇒  ∂I/∂x = I₀·cosh t · ∂t/∂x  (and likewise y).
         // The model is source-referenced, so g_s = −(g_m + g_ds).

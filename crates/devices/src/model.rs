@@ -86,42 +86,15 @@ pub trait DeviceModel: Debug + Send + Sync {
     /// Small-signal terminal capacitances at the operating point, F/µm.
     fn caps_per_um(&self, vg: f64, vd: f64, vs: f64) -> Caps;
 
-    /// Transconductance ∂I_D/∂V_G, S/µm (central finite difference).
-    ///
-    /// Models with cheap analytic derivatives may override.
-    fn gm_per_um(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        let h = derivative_step();
-        (self.ids_per_um(vg + h, vd, vs) - self.ids_per_um(vg - h, vd, vs)) / (2.0 * h)
-    }
-
-    /// Output conductance ∂I_D/∂V_D, S/µm.
-    fn gds_per_um(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        let h = derivative_step();
-        (self.ids_per_um(vg, vd + h, vs) - self.ids_per_um(vg, vd - h, vs)) / (2.0 * h)
-    }
-
-    /// Source conductance ∂I_D/∂V_S, S/µm.
-    fn gs_per_um(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        let h = derivative_step();
-        (self.ids_per_um(vg, vd, vs + h) - self.ids_per_um(vg, vd, vs - h)) / (2.0 * h)
-    }
-
-    /// All three small-signal conductances `(gm, gds, gs)` at once, S/µm —
-    /// the quantity the Newton stamp actually needs. The default delegates
-    /// to the individual methods (finite differences: 6 extra current
-    /// evaluations); the in-tree analytical models override this with exact
-    /// closed forms, which is the single largest speedup in the simulator's
-    /// inner loop.
-    fn conductances_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64) {
-        (
-            self.gm_per_um(vg, vd, vs),
-            self.gds_per_um(vg, vd, vs),
-            self.gs_per_um(vg, vd, vs),
-        )
-    }
+    /// The three small-signal conductances `(gm, gds, gs)` = ∂I_D/∂(V_G,
+    /// V_D, V_S), S/µm — the quantity the Newton stamp needs. Every model
+    /// supplies them in closed form; the simulator's inner loop calls this
+    /// once per device evaluation.
+    fn conductances_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64);
 }
 
-/// Finite-difference voltage step used by the default derivative methods.
+/// Finite-difference voltage step for checking analytic derivatives against
+/// central differences of the current.
 ///
 /// 0.5 mV: small against the ~26 mV thermal voltage that sets the sharpest
 /// model curvature, large enough to stay clear of floating-point noise on
@@ -148,15 +121,6 @@ impl<M: DeviceModel + ?Sized> DeviceModel for Arc<M> {
     }
     fn caps_per_um(&self, vg: f64, vd: f64, vs: f64) -> Caps {
         (**self).caps_per_um(vg, vd, vs)
-    }
-    fn gm_per_um(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        (**self).gm_per_um(vg, vd, vs)
-    }
-    fn gds_per_um(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        (**self).gds_per_um(vg, vd, vs)
-    }
-    fn gs_per_um(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        (**self).gs_per_um(vg, vd, vs)
     }
     fn conductances_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64) {
         (**self).conductances_per_um(vg, vd, vs)
@@ -249,14 +213,9 @@ mod tests {
                 ..Caps::default()
             }
         }
-    }
-
-    #[test]
-    fn finite_difference_derivatives_match_linear_model() {
-        let d = LinearDev { g: 1e-3, gm: 2e-3 };
-        assert!((d.gm_per_um(0.1, 0.2, 0.0) - 2e-3).abs() < 1e-9);
-        assert!((d.gds_per_um(0.1, 0.2, 0.0) - 1e-3).abs() < 1e-9);
-        assert!((d.gs_per_um(0.1, 0.2, 0.0) + 1e-3).abs() < 1e-9);
+        fn conductances_per_um(&self, _: f64, _: f64, _: f64) -> (f64, f64, f64) {
+            (self.gm, self.g, -self.g)
+        }
     }
 
     #[test]

@@ -133,10 +133,8 @@ proptest! {
     }
 
     #[test]
-    fn finite_difference_conductances_are_finite(vg in voltage(), vd in voltage(), vs in voltage()) {
-        let t = NTfet::nominal();
-        prop_assert!(t.gm_per_um(vg, vd, vs).is_finite());
-        prop_assert!(t.gds_per_um(vg, vd, vs).is_finite());
-        prop_assert!(t.gs_per_um(vg, vd, vs).is_finite());
+    fn conductances_are_finite(vg in voltage(), vd in voltage(), vs in voltage()) {
+        let (gm, gds, gs) = NTfet::nominal().conductances_per_um(vg, vd, vs);
+        prop_assert!(gm.is_finite() && gds.is_finite() && gs.is_finite());
     }
 }

@@ -187,4 +187,7 @@ if cargo run -q --release --offline -p tfet-bench --bin tfet-bench -- \
 fi
 echo "history: baselines pass; tampered newton.jac_refactored correctly fails"
 
+echo "== code size (information only, not a gate) =="
+scripts/size.sh
+
 echo "All checks passed."
