@@ -12,7 +12,9 @@
 //! Effort is reported in *Newton solves* from the always-on
 //! [`SolveStats`] counters — deterministic and machine-independent, unlike
 //! wall-clock. The headline ratio (fixed seed path / adaptive with early
-//! exit) is asserted ≥ 3× here and recorded in EXPERIMENTS.md.
+//! exit) is asserted ≥ 3× here and recorded in EXPERIMENTS.md, and so is
+//! the share of the seeded search's steps that prefix reuse restores from
+//! checkpoints instead of simulating (≥ 40 %).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -47,6 +49,7 @@ fn effort_table() -> Table {
             "dev_evals",
             "steps_acc",
             "steps_rej",
+            "steps_resumed",
             "wl_crit_ps",
         ],
     );
@@ -120,6 +123,19 @@ fn effort_table() -> Table {
     assert!(
         adaptive * 3 <= baseline,
         "acceptance: adaptive+exit must cut Newton solves >= 3x ({baseline} vs {adaptive})"
+    );
+    // Prefix reuse: every probe after the endpoint one resumes from a
+    // checkpoint of an earlier probe instead of re-simulating the shared
+    // hold settle and wordline plateau.
+    let (resumed, simulated) = (seeded.effort.resumed_steps, seeded.effort.accepted_steps);
+    t.note(format!(
+        "prefix reuse: {:.0}% of the seeded search's steps resumed from checkpoints",
+        100.0 * resumed as f64 / (resumed + simulated) as f64
+    ));
+    assert!(
+        resumed * 10 >= 4 * (resumed + simulated),
+        "acceptance: the seeded search must resume >= 40% of its steps \
+         ({resumed} resumed, {simulated} simulated)"
     );
     t
 }
@@ -202,6 +218,7 @@ fn push_run(t: &mut Table, label: &str, r: &WlCritRun) {
         r.effort.device_evals.to_string(),
         r.effort.accepted_steps.to_string(),
         r.effort.rejected_steps.to_string(),
+        r.effort.resumed_steps.to_string(),
         r.value
             .as_finite()
             .map(|w| format!("{:.1}", w * 1e12))

@@ -32,15 +32,51 @@
 //! [`SolveStats`], and the counters aggregate under
 //! `absorb`, so a seeded sweep can prove it compiled once and ran many
 //! times.
+//!
+//! # Prefix reuse
+//!
+//! A bisection over a pulse width re-runs one transient whose stimuli agree
+//! up to the end of the shorter pulse, so every run repeats the same
+//! trajectory up to there. After
+//! [`enable_prefix_reuse`](CompiledCircuit::enable_prefix_reuse), a run
+//! records checkpoints, and the next run resumes from the latest one it
+//! shares instead of starting at `t = 0`. The invariant is that **every
+//! stored checkpoint is a state the next run would reach bit for bit**. A
+//! checkpoint holds the loop state (time, proposed step, solution, step
+//! count, how far ahead the run has looked), the capacitor branches'
+//! current history, and the solver numerics the next step reads: the
+//! retained modified-Newton factor and the device-bypass cache. These rules
+//! keep the invariant:
+//!
+//! * **Stimulus rebinds.** [`bind_wave`](CompiledCircuit::bind_wave) drops
+//!   every checkpoint that looked at or past `s − ½·dt_min`, where `s` is
+//!   [`Waveform::shared_until`] of the old and new stimulus. Beyond that
+//!   the step schedule could differ. It also drops every checkpoint that
+//!   depends on a solve time at which the two stimuli evaluate to
+//!   different bits: a plateau whose end moved can round differently.
+//! * **Device rebinds.** [`bind_device`](CompiledCircuit::bind_device)
+//!   clears the cache.
+//! * **Resume conditions.** A run resumes only under the same
+//!   [`InitialState`], the same spec except for `t_stop`, and the same
+//!   sparse pivot analysis. It resumes from a checkpoint before every
+//!   armed stop event's `t_arm`, and one whose look-ahead stays a step
+//!   floor short of the new `t_stop`.
+//! * **Per-run stats.** A resumed result starts at `t = 0`: the cached
+//!   rows are copied in. Its [`SolveStats`] count only the work done in
+//!   that run, with the skipped steps in `resumed_steps`.
+//!
+//! The cache holds at most 64 checkpoints and thins by halving when full.
+//! It reuses its buffers once warm. Circuits with latency partitions never
+//! record, and circuits that do not opt in pay nothing.
 
 use crate::dc::{DcResult, SolverStrategy};
 use crate::error::SimError;
 use crate::mna::Mna;
 use crate::netlist::{Circuit, SourceId};
 use crate::probe::{SolveStats, TransientResult};
-use crate::transient::{InitialState, StopEvent, TransientSpec};
+use crate::transient::{InitialState, LoopState, StepControl, StopEvent, TransientSpec};
 use crate::waveform::Waveform;
-use crate::workspace::NewtonWorkspace;
+use crate::workspace::{NewtonWorkspace, SolverSnapshot};
 use std::sync::Arc;
 use tfet_devices::model::DeviceModel;
 
@@ -73,6 +109,9 @@ pub struct CompiledCircuit {
     /// Cumulative stats across every successful run of this compiled
     /// circuit (see [`lifetime_stats`](CompiledCircuit::lifetime_stats)).
     lifetime: SolveStats,
+    /// Checkpoints of earlier runs, once opted in (see the
+    /// [module docs](self#prefix-reuse)).
+    prefix: Option<PrefixCache>,
 }
 
 impl CompiledCircuit {
@@ -100,7 +139,21 @@ impl CompiledCircuit {
             pending_builds: 1,
             pending_binds: 0,
             lifetime: SolveStats::default(),
+            prefix: None,
         })
+    }
+
+    /// Opts in to prefix reuse: from now on every run records checkpoints
+    /// and resumes from the latest one it shares with an earlier run (see
+    /// the [module docs](self#prefix-reuse)). Results stay bit-identical to
+    /// runs from `t = 0`.
+    pub fn enable_prefix_reuse(&mut self) {
+        self.prefix.get_or_insert_with(PrefixCache::default);
+    }
+
+    /// Heap bytes the prefix cache holds (0 unless opted in).
+    pub fn prefix_cache_bytes(&self) -> usize {
+        self.prefix.as_ref().map_or(0, PrefixCache::heap_bytes)
     }
 
     /// The frozen netlist (read-only; mutation goes through binds).
@@ -124,6 +177,9 @@ impl CompiledCircuit {
     /// Binds a new stimulus waveform to a parameter — pulse widths, assist
     /// levels, drive targets. Never changes the sparsity pattern.
     pub fn bind_wave(&mut self, param: ParamHandle, wave: Waveform) {
+        if let Some(p) = &mut self.prefix {
+            p.keep_shared(&self.circuit.vsource_info(param.source).wave, &wave);
+        }
         self.circuit.set_vsource_wave(param.source, wave);
         self.pending_binds += 1;
     }
@@ -141,6 +197,9 @@ impl CompiledCircuit {
         // The cached linearization (and any retained factorization) was
         // computed with the old model/width.
         self.ws.bufs.invalidate_caches();
+        if let Some(p) = &mut self.prefix {
+            p.clear();
+        }
         self.pending_binds += 1;
     }
 
@@ -159,9 +218,19 @@ impl CompiledCircuit {
         initial: &InitialState,
         events: &[StopEvent],
     ) -> Result<TransientResult, SimError> {
-        let mut result = self
-            .circuit
-            .transient_events_with(spec, initial, events, &mut self.ws)?;
+        let run =
+            self.circuit
+                .run_transient(spec, initial, events, &mut self.ws, self.prefix.as_mut());
+        let mut result = match run {
+            Ok(result) => result,
+            Err(e) => {
+                // A failed run leaves the cache half-updated.
+                if let Some(p) = &mut self.prefix {
+                    p.clear();
+                }
+                return Err(e);
+            }
+        };
         result.stats.circuit_builds = std::mem::take(&mut self.pending_builds);
         result.stats.param_binds = std::mem::take(&mut self.pending_binds);
         self.lifetime.absorb(&result.stats);
@@ -214,6 +283,260 @@ impl CompiledCircuit {
                 .map(|v| v.wave.initial())
                 .collect(),
         })
+    }
+}
+
+/// Most checkpoints a [`PrefixCache`] holds; recording halves them past it.
+const MAX_CHECKPOINTS: usize = 64;
+
+/// A run's state after an accepted step, as the prefix cache stores it. The
+/// capacitor branches are a function of the solution except for their
+/// current history, so only that is kept.
+#[derive(Debug, Default)]
+struct Checkpoint {
+    state: LoopState,
+    /// Each capacitor branch's current history (`CapBranch::i_prev`).
+    branch_currents: Vec<f64>,
+    solver: SolverSnapshot,
+    /// Entries of the stimulus-time log this state depends on.
+    evals: usize,
+}
+
+/// The checkpoints a compiled circuit resumes runs from, with the waveform
+/// rows and stimulus times they depend on (see the
+/// [module docs](self#prefix-reuse) for the invariant).
+#[derive(Debug, Default)]
+pub(crate) struct PrefixCache {
+    /// The spec (with `t_stop` zeroed) and initial state the checkpoints
+    /// were recorded under; `None` until the first run.
+    key: Option<(TransientSpec, InitialState)>,
+    /// The workspace's sparse-analysis count when they were recorded: a new
+    /// pivot order changes every later factor.
+    analyses: u64,
+    /// The first `live` entries are the checkpoints, in time order, each
+    /// after an accepted step whose index is a multiple of `stride`. The
+    /// rest are buffers kept for reuse.
+    slots: Vec<Checkpoint>,
+    live: usize,
+    stride: usize,
+    /// Every time a Newton solve of the recorded runs evaluated the
+    /// stimuli at, in solve order.
+    evals: Vec<f64>,
+    /// Waveform rows `0..=` the last checkpoint's step: times and the
+    /// flattened node voltages.
+    times: Vec<f64>,
+    data: Vec<f64>,
+    /// Whether the current run still records.
+    recording: bool,
+    /// The current run's `t_stop` and step floor (`dt_min`, or `dt` on the
+    /// fixed grid).
+    t_stop: f64,
+    floor: f64,
+}
+
+/// The smallest step `spec` can take: `dt_min`, or `dt` on the fixed grid.
+fn step_floor(spec: &TransientSpec) -> f64 {
+    match spec.control {
+        StepControl::Fixed => spec.dt,
+        StepControl::Adaptive(a) => a.dt_min,
+    }
+}
+
+impl PrefixCache {
+    fn checkpoints(&self) -> &[Checkpoint] {
+        &self.slots[..self.live]
+    }
+
+    /// Drops every checkpoint.
+    pub(crate) fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Keeps only the checkpoints that binding `new` in place of `old` on
+    /// one source cannot reach.
+    pub(crate) fn keep_shared(&mut self, old: &Waveform, new: &Waveform) {
+        let (Some((spec, _)), Some(last)) = (&self.key, self.checkpoints().last()) else {
+            return;
+        };
+        let half = 0.5 * step_floor(spec);
+        let s = old.shared_until(new);
+        let differs = self.evals[..last.evals]
+            .iter()
+            .position(|&t| old.value(t).to_bits() != new.value(t).to_bits())
+            .unwrap_or(usize::MAX);
+        self.live = self
+            .checkpoints()
+            .iter()
+            .position(|c| c.state.reach + half >= s || c.evals > differs)
+            .unwrap_or(self.live);
+    }
+
+    /// The latest checkpoint a run of `spec` from `initial` with `events`
+    /// would pass through, on a workspace whose analysis count is
+    /// `analyses`.
+    pub(crate) fn resume_point(
+        &self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        analyses: u64,
+    ) -> Option<usize> {
+        let (key_spec, key_initial) = self.key.as_ref()?;
+        let spec0 = TransientSpec {
+            t_stop: 0.0,
+            ..*spec
+        };
+        if analyses != self.analyses || *key_spec != spec0 || key_initial != initial {
+            return None;
+        }
+        let t_arm = events.iter().fold(f64::INFINITY, |m, e| m.min(e.t_arm));
+        let floor = step_floor(spec);
+        self.checkpoints()
+            .iter()
+            .rposition(|c| c.state.t < t_arm && c.state.reach + floor < spec.t_stop)
+    }
+
+    /// Restores checkpoint `i` into `ws` and copies its rows into `result`;
+    /// returns the loop state to continue from. `ws.branches` must already
+    /// hold the branches linearized at that state's solution; this puts
+    /// back their current history.
+    pub(crate) fn seed(
+        &self,
+        i: usize,
+        ws: &mut NewtonWorkspace,
+        result: &mut TransientResult,
+    ) -> LoopState {
+        let c = &self.checkpoints()[i];
+        for (b, &i_prev) in ws.branches.iter_mut().zip(&c.branch_currents) {
+            b.i_prev = i_prev;
+        }
+        ws.bufs.restore(&c.solver);
+        let rows = c.state.step + 1;
+        let stride = self.data.len() / self.times.len();
+        result.extend_rows(&self.times[..rows], &self.data[..rows * stride]);
+        result.stats.resumed_steps = c.state.step as u64;
+        c.state.clone()
+    }
+
+    /// The solution at checkpoint `i`.
+    pub(crate) fn solution(&self, i: usize) -> &[f64] {
+        &self.checkpoints()[i].state.x
+    }
+
+    /// Starts recording a run: after resuming from checkpoint `resume`, or
+    /// from scratch (dropping everything) after a fresh initial solve.
+    pub(crate) fn begin(
+        &mut self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        resume: Option<usize>,
+        analyses: u64,
+    ) {
+        match resume {
+            Some(i) => {
+                self.live = i + 1;
+                self.evals.truncate(self.slots[i].evals);
+            }
+            None => {
+                self.live = 0;
+                self.stride = 1;
+                self.evals.clear();
+                // The initial state is solved at t = 0.
+                self.evals.push(0.0);
+                self.key = Some((
+                    TransientSpec {
+                        t_stop: 0.0,
+                        ..*spec
+                    },
+                    initial.clone(),
+                ));
+                self.analyses = analyses;
+            }
+        }
+        self.recording = true;
+        self.t_stop = spec.t_stop;
+        self.floor = step_floor(spec);
+    }
+
+    /// Logs that the run is about to solve at time `t`.
+    pub(crate) fn log(&mut self, t: f64) {
+        if self.recording {
+            self.evals.push(t);
+        }
+    }
+
+    /// Stops recording for the rest of the run.
+    pub(crate) fn stop(&mut self) {
+        self.recording = false;
+    }
+
+    /// Offers the state after an accepted step as a checkpoint.
+    pub(crate) fn record(&mut self, st: &LoopState, ws: &NewtonWorkspace) {
+        if !self.recording {
+            return;
+        }
+        if ws.bufs.effort.sparse_analyses != self.analyses || st.reach + self.floor >= self.t_stop {
+            // A new pivot order, or a step that looked at the run's end:
+            // no later state is one the next run reaches.
+            self.recording = false;
+            return;
+        }
+        if !st.step.is_multiple_of(self.stride) {
+            return;
+        }
+        if self.live == MAX_CHECKPOINTS {
+            self.stride *= 2;
+            let mut kept = 0;
+            for k in 0..self.live {
+                if self.slots[k].state.step.is_multiple_of(self.stride) {
+                    self.slots.swap(kept, k);
+                    kept += 1;
+                }
+            }
+            self.live = kept;
+            if !st.step.is_multiple_of(self.stride) {
+                return;
+            }
+        }
+        if self.live == self.slots.len() {
+            self.slots.push(Checkpoint::default());
+        }
+        let c = &mut self.slots[self.live];
+        c.state.copy_from(st);
+        c.branch_currents.clear();
+        c.branch_currents
+            .extend(ws.branches.iter().map(|b| b.i_prev));
+        ws.bufs.save(&mut c.solver);
+        c.evals = self.evals.len();
+        self.live += 1;
+    }
+
+    /// Ends the run: keeps its rows up to the last checkpoint.
+    pub(crate) fn finish(&mut self, result: &TransientResult) {
+        self.recording = false;
+        if let Some(last) = self.checkpoints().last() {
+            let (times, data) = result.rows(last.state.step + 1);
+            self.times.clear();
+            self.times.extend_from_slice(times);
+            self.data.clear();
+            self.data.extend_from_slice(data);
+        }
+    }
+
+    /// Heap bytes held: every checkpoint slot, the stimulus log and the
+    /// rows.
+    fn heap_bytes(&self) -> usize {
+        let f64s = |v: &Vec<f64>| v.capacity() * std::mem::size_of::<f64>();
+        let slot = |c: &Checkpoint| {
+            std::mem::size_of::<Checkpoint>()
+                + f64s(&c.state.x)
+                + f64s(&c.branch_currents)
+                + c.solver.heap_bytes()
+        };
+        self.slots.iter().map(slot).sum::<usize>()
+            + f64s(&self.evals)
+            + f64s(&self.times)
+            + f64s(&self.data)
     }
 }
 

@@ -93,6 +93,12 @@ pub struct SolveStats {
     /// nodes were still quiet) — the counter proving the correctness guard
     /// fires.
     pub guard_refreshes: u64,
+    /// Accepted steps restored from a checkpoint instead of simulated: a
+    /// compiled circuit with a prefix cache resumes a run from the latest
+    /// state it shares with an earlier run. The recorded waveform still
+    /// starts at `t = 0`; `accepted_steps` and every cost counter count
+    /// only the work done after the resume point.
+    pub resumed_steps: u64,
     /// Whether a stop event ended the run before `t_stop`.
     pub early_exit: bool,
 }
@@ -118,6 +124,7 @@ impl SolveStats {
         self.devices_dormant += other.devices_dormant;
         self.cells_refreshed += other.cells_refreshed;
         self.guard_refreshes += other.guard_refreshes;
+        self.resumed_steps += other.resumed_steps;
         self.early_exit |= other.early_exit;
     }
 }
@@ -162,6 +169,18 @@ impl TransientResult {
         self.times.push(t);
         self.data
             .extend((0..self.node_count).map(|i| volts(NodeId(i))));
+    }
+
+    /// The recorded rows `0..rows` as `(times, flattened voltages)`.
+    pub(crate) fn rows(&self, rows: usize) -> (&[f64], &[f64]) {
+        (&self.times[..rows], &self.data[..rows * self.node_count])
+    }
+
+    /// Appends rows taken from [`rows`](Self::rows) of a run of the same
+    /// circuit.
+    pub(crate) fn extend_rows(&mut self, times: &[f64], data: &[f64]) {
+        self.times.extend_from_slice(times);
+        self.data.extend_from_slice(data);
     }
 
     /// The voltage row recorded at step `k`.

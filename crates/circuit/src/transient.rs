@@ -31,10 +31,19 @@
 //! difference crossing ends the run as soon as the outcome it encodes (an
 //! SRAM cell committed to a flip, or back to its held state) is decided.
 //!
+//! Both paths run one time loop over the state a run carries between
+//! accepted steps: time, proposed step, solution, capacitor branches and
+//! the solver numerics (retained factor, device-bypass cache). The initial
+//! solve seeds that state at `t = 0`. A compiled circuit with prefix reuse
+//! may seed it instead from a checkpoint of an earlier run that the new
+//! run would pass through bit for bit (see
+//! [`CompiledCircuit`](crate::CompiledCircuit)).
+//!
 //! Nonlinear device capacitances are re-evaluated at the start of every step
 //! and held for the step (standard charge-conserving-enough linearization at
 //! the small steps used here).
 
+use crate::compiled::PrefixCache;
 use crate::dc::{solve_op, NewtonMode, SolverStrategy};
 use crate::error::SimError;
 use crate::latency::DeviceLatency;
@@ -211,7 +220,7 @@ impl TransientSpec {
 }
 
 /// How the transient obtains its initial state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InitialState {
     /// Solve the DC operating point at `t = 0`, seeded with voltage hints
     /// (hints pick the basin for bistable circuits).
@@ -281,6 +290,56 @@ impl StopEvent {
     }
 }
 
+/// Where a run stands between two accepted steps: what the time loop
+/// carries from one step to the next, beside the capacitor branches and the
+/// solver numerics the workspace holds. The initial solve seeds it at
+/// `t = 0`; a prefix-cache checkpoint seeds it mid-run.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LoopState {
+    /// Time of the last accepted step, s.
+    pub(crate) t: f64,
+    /// The step the adaptive controller proposes next, s (the grid spacing
+    /// under fixed control).
+    pub(crate) h: f64,
+    /// No step accepted yet: trapezoidal runs bootstrap with backward Euler.
+    pub(crate) first_step: bool,
+    /// Steps accepted so far, which is the row of `t` in the waveform.
+    pub(crate) step: usize,
+    /// The furthest time the run has looked at: a stimulus evaluation, or a
+    /// proposed step end compared with the breakpoints and `t_stop`.
+    pub(crate) reach: f64,
+    /// The solution at `t`.
+    pub(crate) x: Vec<f64>,
+}
+
+impl LoopState {
+    /// The state right after the initial solve `x` at `t = 0`.
+    fn start(spec: &TransientSpec, x: Vec<f64>) -> Self {
+        let h = match spec.control {
+            StepControl::Fixed => spec.dt,
+            StepControl::Adaptive(a) => spec.dt.clamp(a.dt_min, a.dt_max),
+        };
+        LoopState {
+            t: 0.0,
+            h,
+            first_step: true,
+            step: 0,
+            reach: 0.0,
+            x,
+        }
+    }
+
+    /// Copies `other` into `self`, reusing the solution buffer.
+    pub(crate) fn copy_from(&mut self, other: &LoopState) {
+        self.t = other.t;
+        self.h = other.h;
+        self.first_step = other.first_step;
+        self.step = other.step;
+        self.reach = other.reach;
+        self.x.clone_from(&other.x);
+    }
+}
+
 /// One capacitive branch with its instantaneous capacitance and (for
 /// trapezoidal) its branch-current history.
 #[derive(Debug, Clone)]
@@ -288,7 +347,7 @@ pub(crate) struct CapBranch {
     a: NodeId,
     b: NodeId,
     c: f64,
-    i_prev: f64,
+    pub(crate) i_prev: f64,
 }
 
 /// Fills `out` with the companion-model stamps of `branches` for one step
@@ -642,34 +701,23 @@ impl Circuit {
         events: &[StopEvent],
         ws: &mut NewtonWorkspace,
     ) -> Result<TransientResult, SimError> {
-        let _span = tfet_obs::span("transient");
-        let mna = Mna::new(self)?;
-        let n_v = mna.voltage_count();
-        let mode = NewtonMode {
-            strategy: spec.solver,
-            latency: spec.latency,
-        };
-        // Fresh run: device-bypass operating points and retained
-        // factorizations from any previous run are stale by definition.
-        ws.bufs.invalidate_caches();
-        // Partition telemetry covers exactly one run: zero any accumulation
-        // left by a previous transient on this workspace. (If the latency
-        // state is built lazily later this run, it starts zeroed anyway.)
-        if let Some(lat) = ws.bufs.latency.as_mut() {
-            lat.reset_telemetry();
-        }
-        let effort0 = ws.bufs.effort;
-        ws.step_trace.clear();
+        self.run_transient(spec, initial, events, ws, None)
+    }
 
-        // --- Initial state -------------------------------------------------
-        let mut x = match initial {
-            InitialState::DcOp(hints) => match self.dc_state_with(&mna, hints, ws, spec.solver) {
-                Ok(x) => x,
-                Err(e) => {
-                    capture_failure(&mna, ws, None, "initial-dc", 0.0, 0.0, &e);
-                    return Err(e);
-                }
-            },
+    /// Solves the state at `t = 0`: the DC operating point, or the
+    /// initial conditions held by a single enormous-conductance solve.
+    fn initial_solve(
+        &self,
+        mna: &Mna<'_>,
+        initial: &InitialState,
+        spec: &TransientSpec,
+        mode: NewtonMode,
+        ws: &mut NewtonWorkspace,
+    ) -> Result<Vec<f64>, SimError> {
+        match initial {
+            InitialState::DcOp(hints) => self
+                .dc_state_with(mna, hints, ws, spec.solver)
+                .inspect_err(|e| capture_failure(mna, ws, None, "initial-dc", 0.0, 0.0, e)),
             InitialState::Uic(ics) => {
                 // Pin node voltages; derive consistent branch currents by a
                 // single Newton solve with enormous companion conductances
@@ -681,13 +729,13 @@ impl Circuit {
                     }
                 }
                 let mut hold = CompanionCaps::default();
-                hold.entries.extend((1..=n_v).map(|i| {
+                hold.entries.extend((1..=mna.voltage_count()).map(|i| {
                     let g_hold = 1e3; // siemens: overwhelms any device
                     (NodeId(i), Circuit::GND, g_hold, -g_hold * x0[i - 1])
                 }));
                 hold.touch();
-                match solve_op(
-                    &mna,
+                solve_op(
+                    mna,
                     &mut ws.bufs,
                     &mut ws.anchor,
                     x0,
@@ -696,15 +744,47 @@ impl Circuit {
                     mode,
                     Some(0.0),
                     false,
-                ) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        capture_failure(&mna, ws, None, "initial-uic", 0.0, 0.0, &e);
-                        return Err(e);
-                    }
-                }
+                )
+                .inspect_err(|e| capture_failure(mna, ws, None, "initial-uic", 0.0, 0.0, e))
             }
+        }
+    }
+
+    /// [`transient_events_with`](Circuit::transient_events_with) with an
+    /// optional prefix cache. With one, the run resumes from the latest
+    /// checkpoint the cache holds for it instead of from the initial state,
+    /// and records checkpoints as it goes (see [`PrefixCache`]). Either way
+    /// the time loop below runs once, from a [`LoopState`] seeded by the
+    /// initial solve or by the checkpoint. Circuits with latency
+    /// partitions carry per-partition state no checkpoint holds, so they
+    /// never use the cache.
+    pub(crate) fn run_transient(
+        &self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        ws: &mut NewtonWorkspace,
+        prefix: Option<&mut PrefixCache>,
+    ) -> Result<TransientResult, SimError> {
+        let _span = tfet_obs::span("transient");
+        let mna = Mna::new(self)?;
+        let n_v = mna.voltage_count();
+        let mode = NewtonMode {
+            strategy: spec.solver,
+            latency: spec.latency,
         };
+        // Fresh run: device-bypass operating points and retained
+        // factorizations from any previous run are stale by definition (a
+        // resumed run puts back its checkpoint's below).
+        ws.bufs.invalidate_caches();
+        // Partition telemetry covers exactly one run: zero any accumulation
+        // left by a previous transient on this workspace. (If the latency
+        // state is built lazily later this run, it starts zeroed anyway.)
+        if let Some(lat) = ws.bufs.latency.as_mut() {
+            lat.reset_telemetry();
+        }
+        let effort0 = ws.bufs.effort;
+        ws.step_trace.clear();
 
         // Pre-size the waveform store so recording never reallocates
         // mid-run: exact for the fixed grid, an estimate (initial-step
@@ -718,29 +798,59 @@ impl Circuit {
             }
         };
         let mut result = TransientResult::with_capacity(self.node_count(), capacity);
-        result.push(0.0, |node| mna.voltage_of(&x, node));
 
-        self.fill_cap_branches(|n| mna.voltage_of(&x, n), &mut ws.branches);
+        let mut prefix = prefix.filter(|_| self.latency_partitions.is_empty());
+        let resume = prefix
+            .as_deref()
+            .and_then(|p| p.resume_point(spec, initial, events, ws.bufs.effort.sparse_analyses));
+
+        // --- Initial state: a checkpoint, or the t = 0 solve -------------
+        let mut st = match (resume, prefix.as_deref()) {
+            (Some(i), Some(p)) => {
+                self.fill_cap_branches(|n| mna.voltage_of(p.solution(i), n), &mut ws.branches);
+                p.seed(i, ws, &mut result)
+            }
+            _ => {
+                let x = self.initial_solve(&mna, initial, spec, mode, ws)?;
+                result.push(0.0, |node| mna.voltage_of(&x, node));
+                self.fill_cap_branches(|n| mna.voltage_of(&x, n), &mut ws.branches);
+                LoopState::start(spec, x)
+            }
+        };
+        if let Some(p) = prefix.as_deref_mut() {
+            p.begin(spec, initial, resume, ws.bufs.effort.sparse_analyses);
+        }
 
         match spec.control {
             // --- Fixed uniform grid ---------------------------------------
             StepControl::Fixed => {
                 let steps = (spec.t_stop / spec.dt).round() as usize;
-                for step in 1..=steps {
+                for step in st.step + 1..=steps {
                     let t_new = step as f64 * spec.dt;
+                    st.reach = t_new;
+                    if let Some(p) = prefix.as_deref_mut() {
+                        p.log(t_new);
+                    }
                     // Trapezoidal needs a consistent branch-current history,
                     // which a UIC or DC start does not provide — so the first
                     // step is always backward Euler (the standard SPICE
                     // bootstrap).
-                    let use_be = spec.integrator == Integrator::BackwardEuler || step == 1;
-                    build_companions(&mna, &x, &ws.branches, spec.dt, use_be, &mut ws.companions);
+                    let use_be = spec.integrator == Integrator::BackwardEuler || st.first_step;
+                    build_companions(
+                        &mna,
+                        &st.x,
+                        &ws.branches,
+                        spec.dt,
+                        use_be,
+                        &mut ws.companions,
+                    );
 
                     // Newton solve for t_{n+1}, warm-started from t_n.
-                    x = match solve_op(
+                    st.x = match solve_op(
                         &mna,
                         &mut ws.bufs,
                         &mut ws.anchor,
-                        x,
+                        std::mem::take(&mut st.x),
                         t_new,
                         Some(&ws.companions),
                         mode,
@@ -766,7 +876,14 @@ impl Circuit {
                                 &mut result.stats,
                             );
                             match rescued {
-                                Some(v) => v,
+                                Some(v) => {
+                                    // The ladder's substeps are not in the
+                                    // stimulus log.
+                                    if let Some(p) = prefix.as_deref_mut() {
+                                        p.stop();
+                                    }
+                                    v
+                                }
                                 None => {
                                     capture_failure(
                                         &mna,
@@ -787,13 +904,19 @@ impl Circuit {
                     // capacitances at the new operating point
                     // (double-buffered: `branches_next` swaps with
                     // `branches`, reusing both allocations).
-                    relinearize(self, &mna, &x, &ws.companions, &mut ws.branches_next);
+                    relinearize(self, &mna, &st.x, &ws.companions, &mut ws.branches_next);
                     std::mem::swap(&mut ws.branches, &mut ws.branches_next);
 
+                    st.t = t_new;
+                    st.step = step;
+                    st.first_step = false;
                     ws.step_trace.record(t_new, spec.dt);
-                    result.push(t_new, |node| mna.voltage_of(&x, node));
+                    result.push(t_new, |node| mna.voltage_of(&st.x, node));
                     result.stats.accepted_steps += 1;
-                    if event_fired(events, &mna, &x, t_new) {
+                    if let Some(p) = prefix.as_deref_mut() {
+                        p.record(&st, ws);
+                    }
+                    if event_fired(events, &mna, &st.x, t_new) {
                         result.stats.early_exit = true;
                         break;
                     }
@@ -804,11 +927,9 @@ impl Circuit {
             StepControl::Adaptive(a) => {
                 let mut grown_steps = 0u64;
                 let mut newton_shrinks = 0u64;
-                let mut t = 0.0;
-                let mut h = spec.dt.clamp(a.dt_min, a.dt_max);
                 let mut bp_idx = 0;
-                let mut first_step = true;
-                'time: while t < spec.t_stop {
+                'time: while st.t < spec.t_stop {
+                    let t = st.t;
                     // Skip breakpoints already reached, then clamp the
                     // controller's step so it lands exactly on the next one
                     // (and on t_stop).
@@ -817,7 +938,7 @@ impl Circuit {
                     {
                         bp_idx += 1;
                     }
-                    let mut t_new = t + h;
+                    let mut t_new = t + st.h;
                     if let Some(&bp) = ws.breakpoints.get(bp_idx) {
                         if t_new > bp - 0.5 * a.dt_min {
                             t_new = bp;
@@ -826,20 +947,32 @@ impl Circuit {
                     if t_new > spec.t_stop - 0.5 * a.dt_min {
                         t_new = spec.t_stop;
                     }
+                    st.reach = st.reach.max(t + st.h).max(t_new);
                     let mut h_try = t_new - t;
 
                     // Trial loop: attempt h_try, shrink on an LTE rejection
                     // or a Newton failure, accept at the floor regardless.
                     loop {
-                        let use_be = spec.integrator == Integrator::BackwardEuler || first_step;
+                        let use_be = spec.integrator == Integrator::BackwardEuler || st.first_step;
                         let t_mid = 0.5 * (t + t_new);
                         let mut trial_err: Option<SimError> = None;
                         let mut lte = f64::INFINITY;
+                        if let Some(p) = prefix.as_deref_mut() {
+                            p.log(t_new);
+                            p.log(t_mid);
+                        }
 
                         // Coarse: one full step t -> t_new.
-                        build_companions(&mna, &x, &ws.branches, h_try, use_be, &mut ws.companions);
+                        build_companions(
+                            &mna,
+                            &st.x,
+                            &ws.branches,
+                            h_try,
+                            use_be,
+                            &mut ws.companions,
+                        );
                         ws.x_coarse.clear();
-                        ws.x_coarse.extend_from_slice(&x);
+                        ws.x_coarse.extend_from_slice(&st.x);
                         match solve_op(
                             &mna,
                             &mut ws.bufs,
@@ -860,14 +993,14 @@ impl Circuit {
                         if trial_err.is_none() {
                             build_companions(
                                 &mna,
-                                &x,
+                                &st.x,
                                 &ws.branches,
                                 0.5 * h_try,
                                 use_be,
                                 &mut ws.companions,
                             );
                             ws.x_fine.clear();
-                            ws.x_fine.extend_from_slice(&x);
+                            ws.x_fine.extend_from_slice(&st.x);
                             match solve_op(
                                 &mna,
                                 &mut ws.bufs,
@@ -927,13 +1060,14 @@ impl Circuit {
                         if trial_err.is_none() && (lte <= a.ltol || at_floor) {
                             // Accept the fine solution (it carries the
                             // midpoint re-linearization).
-                            std::mem::swap(&mut x, &mut ws.x_fine);
-                            relinearize(self, &mna, &x, &ws.companions, &mut ws.branches_next);
+                            std::mem::swap(&mut st.x, &mut ws.x_fine);
+                            relinearize(self, &mna, &st.x, &ws.companions, &mut ws.branches_next);
                             std::mem::swap(&mut ws.branches, &mut ws.branches_next);
-                            t = t_new;
-                            first_step = false;
-                            ws.step_trace.record(t, h_try);
-                            result.push(t, |node| mna.voltage_of(&x, node));
+                            st.t = t_new;
+                            st.step += 1;
+                            st.first_step = false;
+                            ws.step_trace.record(t_new, h_try);
+                            result.push(t_new, |node| mna.voltage_of(&st.x, node));
                             result.stats.accepted_steps += 1;
                             // First-order controller: next step from this
                             // step's error, bounded growth/shrink.
@@ -945,8 +1079,11 @@ impl Circuit {
                             if scale > 1.0 {
                                 grown_steps += 1;
                             }
-                            h = (h_try * scale).clamp(a.dt_min, a.dt_max);
-                            if event_fired(events, &mna, &x, t) {
+                            st.h = (h_try * scale).clamp(a.dt_min, a.dt_max);
+                            if let Some(p) = prefix.as_deref_mut() {
+                                p.record(&st, ws);
+                            }
+                            if event_fired(events, &mna, &st.x, t_new) {
                                 result.stats.early_exit = true;
                                 break 'time;
                             }
@@ -971,7 +1108,7 @@ impl Circuit {
                                 self,
                                 &mna,
                                 ws,
-                                x.clone(),
+                                st.x.clone(),
                                 t,
                                 t_new,
                                 mode,
@@ -979,25 +1116,31 @@ impl Circuit {
                             );
                             match rescued {
                                 Some(v) => {
-                                    x = v;
+                                    // The ladder's substeps are not in the
+                                    // stimulus log.
+                                    if let Some(p) = prefix.as_deref_mut() {
+                                        p.stop();
+                                    }
+                                    st.x = v;
                                     relinearize(
                                         self,
                                         &mna,
-                                        &x,
+                                        &st.x,
                                         &ws.companions,
                                         &mut ws.branches_next,
                                     );
                                     std::mem::swap(&mut ws.branches, &mut ws.branches_next);
-                                    t = t_new;
-                                    first_step = false;
-                                    ws.step_trace.record(t, h_try);
-                                    result.push(t, |node| mna.voltage_of(&x, node));
+                                    st.t = t_new;
+                                    st.step += 1;
+                                    st.first_step = false;
+                                    ws.step_trace.record(t_new, h_try);
+                                    result.push(t_new, |node| mna.voltage_of(&st.x, node));
                                     result.stats.accepted_steps += 1;
                                     // Restart the controller at the floor:
                                     // whatever defeated Newton here is still
                                     // nearby, so re-grow from the bottom.
-                                    h = a.dt_min;
-                                    if event_fired(events, &mna, &x, t) {
+                                    st.h = a.dt_min;
+                                    if event_fired(events, &mna, &st.x, t_new) {
                                         result.stats.early_exit = true;
                                         break 'time;
                                     }
@@ -1034,6 +1177,9 @@ impl Circuit {
                 }
             }
         }
+        if let Some(p) = prefix {
+            p.finish(&result);
+        }
 
         let effort = ws.bufs.effort.since(&effort0);
         effort.record_into(&mut result.stats);
@@ -1048,6 +1194,11 @@ impl Circuit {
             tfet_obs::counter("transient.runs", 1);
             if result.stats.early_exit {
                 tfet_obs::counter("transient.early_exits", 1);
+            }
+            if result.stats.resumed_steps > 0 {
+                // Only runs on a prefix cache resume, keeping every other
+                // report byte-stable.
+                tfet_obs::counter("transient.resumed_steps", result.stats.resumed_steps);
             }
             tfet_obs::counter("newton.jac_refactored", result.stats.jac_refactored);
             tfet_obs::counter("newton.jac_reused", result.stats.jac_reused);

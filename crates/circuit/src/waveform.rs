@@ -122,6 +122,78 @@ impl Waveform {
             out.extend_from_slice(lut.axis());
         }
     }
+
+    /// The time `s` up to which `self` and `other` describe the same
+    /// stimulus: on `[0, s)` they are the same piecewise-linear function,
+    /// and their breakpoints in `(0, s)` coincide, so the adaptive step
+    /// schedule cannot tell them apart either. A flat plateau of equal
+    /// level counts as shared up to its shorter end. Returns `+∞` for equal
+    /// stimuli and `0` for stimuli that differ from the start.
+    ///
+    /// Every shared ramp and clamped end evaluates to the same bits in
+    /// both. A shared plateau need not: where its ends differ it
+    /// interpolates with a different `t`, and the blend can round one ulp
+    /// apart (see [`Lut1d::eval`]). Callers that need bit-identity check
+    /// the times they evaluate, as compiled circuits do. Does not allocate.
+    pub fn shared_until(&self, other: &Waveform) -> f64 {
+        let (mut i, mut j) = (0, 0);
+        let mut from = f64::NEG_INFINITY;
+        loop {
+            if self.piece(i) != other.piece(j) {
+                return from.max(0.0);
+            }
+            let (end_a, end_b) = (self.piece_end(i), other.piece_end(j));
+            let to = end_a.min(end_b);
+            if to == f64::INFINITY {
+                return f64::INFINITY;
+            }
+            if end_a != end_b && to > 0.0 {
+                // A breakpoint only one stimulus has.
+                return to;
+            }
+            i += usize::from(end_a == to);
+            j += usize::from(end_b == to);
+            from = to;
+        }
+    }
+
+    /// Piece `k` of the stimulus, where the pieces of a PWL through
+    /// `x_0 < … < x_{n−1}` are `(−∞, x_0)`, the segments `[x_{k−1}, x_k)`
+    /// and `[x_{n−1}, ∞)`.
+    fn piece(&self, k: usize) -> Piece {
+        match self {
+            Waveform::Dc(v) => Piece::Level(v.to_bits()),
+            Waveform::Pwl(lut) => {
+                let (x, v) = (lut.axis(), lut.values());
+                let level = match k {
+                    0 => Some(v[0]),
+                    k if k == x.len() => Some(v[k - 1]),
+                    k if v[k - 1] == v[k] => Some(v[k]),
+                    _ => None,
+                };
+                match level {
+                    Some(l) => Piece::Level(l.to_bits()),
+                    None => Piece::Ramp([x[k - 1], x[k], v[k - 1], v[k]].map(f64::to_bits)),
+                }
+            }
+        }
+    }
+
+    /// Where piece `k` ends (`+∞` for the last one).
+    fn piece_end(&self, k: usize) -> f64 {
+        match self {
+            Waveform::Dc(_) => f64::INFINITY,
+            Waveform::Pwl(lut) => lut.axis().get(k).copied().unwrap_or(f64::INFINITY),
+        }
+    }
+}
+
+/// One piece of a waveform: a level (clamped end or flat segment) or a
+/// linear ramp through its two end points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Piece {
+    Level(u64),
+    Ramp([u64; 4]),
 }
 
 #[cfg(test)]
@@ -180,6 +252,52 @@ mod tests {
         // Starts at base and immediately ramps.
         assert!(w.value(0.0) > 0.7);
         assert!((w.value(50e-12) - 0.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pulses_of_different_widths_share_up_to_the_shorter_plateau_end() {
+        let (t0, e) = (250e-12, 10e-12);
+        let short = Waveform::pulse(0.8, 0.0, t0, 300e-12, e);
+        let long = Waveform::pulse(0.8, 0.0, t0, 700e-12, e);
+        let s = short.shared_until(&long);
+        assert_eq!(s, t0 + 300e-12 - e);
+        assert_eq!(s, long.shared_until(&short), "symmetric");
+        // The plateau sits at 0 V, where the blend is exact, so here the
+        // whole shared span is bit-identical.
+        for k in 0..1000 {
+            let t = s * k as f64 / 1000.0;
+            assert_eq!(
+                short.value(t).to_bits(),
+                long.value(t).to_bits(),
+                "t = {t:e}"
+            );
+        }
+        assert_ne!(short.value(s + 5e-12), long.value(s + 5e-12));
+    }
+
+    #[test]
+    fn narrow_pulses_with_their_own_edge_stop_sharing_at_the_start() {
+        // Below 4·t_edge a write pulse gets edges of width/4: the rising
+        // edges differ, so nothing after the pulse start is shared.
+        let t0 = 250e-12;
+        let w1 = 30e-12;
+        let w2 = 400e-12;
+        let narrow = Waveform::pulse(0.8, 0.0, t0, w1, w1 / 4.0);
+        let wide = Waveform::pulse(0.8, 0.0, t0, w2, 10e-12);
+        assert_eq!(narrow.shared_until(&wide), t0);
+        let narrower = Waveform::pulse(0.8, 0.0, t0, 20e-12, 5e-12);
+        assert_eq!(narrow.shared_until(&narrower), t0);
+    }
+
+    #[test]
+    fn dc_sharing() {
+        let a = Waveform::dc(0.8);
+        assert_eq!(a.shared_until(&Waveform::dc(0.8)), f64::INFINITY);
+        assert_eq!(a.shared_until(&Waveform::dc(0.7)), 0.0);
+        // A step that rests at the DC level shares up to its edge.
+        let step = Waveform::step(0.8, 0.0, 200e-12, 10e-12);
+        assert_eq!(a.shared_until(&step), 200e-12);
+        assert_eq!(step.shared_until(&step.clone()), f64::INFINITY);
     }
 
     #[test]

@@ -148,6 +148,27 @@ pub(crate) struct SolverBufs {
     pub(crate) latency: Option<LatencyState>,
 }
 
+/// The numeric solver state a transient carries from one step to the next
+/// — the retained modified-Newton factor and the device-bypass cache — as a
+/// checkpoint holds it. Everything else in [`SolverBufs`] is rebuilt by the
+/// next solve before it is read. The dense backend keeps no state.
+#[derive(Debug, Default)]
+pub(crate) struct SolverSnapshot {
+    /// Whether the sparse backend held a reusable (`gmin = 0`) factor.
+    has_factor: bool,
+    /// Its factor values; meaningful only with `has_factor`.
+    factor: Vec<f64>,
+    device_cache: Vec<DeviceLin>,
+}
+
+impl SolverSnapshot {
+    /// Heap bytes held (for the prefix cache's footprint).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.factor.capacity() * std::mem::size_of::<f64>()
+            + self.device_cache.capacity() * std::mem::size_of::<DeviceLin>()
+    }
+}
+
 /// Dense linear-solve state: the n×n Jacobian and its LU workspace. The
 /// dense backend refactorizes every iteration and never keeps a factor.
 #[derive(Debug)]
@@ -220,6 +241,33 @@ impl SolverBufs {
         if let Some(l) = &mut self.latency {
             l.invalidate();
         }
+    }
+
+    /// Copies the numeric state the next step reads into `snap`, reusing
+    /// its buffers.
+    pub(crate) fn save(&self, snap: &mut SolverSnapshot) {
+        let reusable = self
+            .sparse
+            .as_ref()
+            .filter(|s| s.factor_valid && s.lu.is_factored());
+        snap.has_factor = reusable.is_some();
+        snap.factor.clear();
+        if let Some(s) = reusable {
+            snap.factor.extend_from_slice(s.lu.factor_values());
+        }
+        snap.device_cache.clone_from(&self.device_cache);
+    }
+
+    /// Puts back a state taken by [`Self::save`] on this workspace, under
+    /// the same sparse analysis.
+    pub(crate) fn restore(&mut self, snap: &SolverSnapshot) {
+        if let Some(s) = &mut self.sparse {
+            s.factor_valid = snap.has_factor;
+            if snap.has_factor {
+                s.lu.restore_factors(&snap.factor);
+            }
+        }
+        self.device_cache.clone_from(&snap.device_cache);
     }
 
     /// Ensures an `n × n` dense state exists, allocating only when the

@@ -32,6 +32,20 @@
 //! ([`run_write`], [`run_read`]) are thin wrappers that compile and run
 //! once, so their numbers — and the numbers of every reused compiled
 //! experiment — are bit-identical to the historical build-per-run path.
+//!
+//! A write experiment also opts in to its circuit's prefix reuse
+//! ([`CompiledCircuit::enable_prefix_reuse`]). Two pulse widths drive the
+//! same stimuli up to the end of the shorter pulse, so each run resumes
+//! from the latest checkpoint it shares with an earlier run instead of
+//! re-simulating the hold settle, the bitline drive and the wordline
+//! plateau. The invariant is that every stored checkpoint is a state the
+//! next run would reach bit for bit. A width rebind keeps only the
+//! checkpoints before the stimuli part, and a run resumes only before its
+//! stop event arms. [`bind_cell`](WriteExperiment::bind_cell) clears the
+//! checkpoints. A resumed [`WriteRun::result`] still starts at `t = 0`,
+//! and its stats count only the steps it simulated (`resumed_steps`
+//! counts the rest). Reads run one fixed stimulus per cell, so
+//! [`ReadExperiment`] does not record.
 
 use crate::assist::{read_bias, write_bias, ReadAssist, WriteAssist, WriteBias};
 use crate::cell::CellNodes;
@@ -363,7 +377,11 @@ impl WriteExperiment {
             uic.push((rwl, vdd));
         }
 
-        let compiled = CompiledCircuit::compile(c)?;
+        let mut compiled = CompiledCircuit::compile(c)?;
+        // A WL_crit search re-runs this circuit with pulse widths whose
+        // stimuli agree up to the shorter pulse's end: resume each run from
+        // the latest checkpoint it shares with an earlier one.
+        compiled.enable_prefix_reuse();
         let vdd_h = compiled.param(vdd_id);
         let vss_h = compiled.param(vss_id);
         let wl_h = compiled.param(wl_id);
@@ -1017,17 +1035,30 @@ mod tests {
     fn compiled_write_reuse_matches_fresh_builds() {
         let p = fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6));
         let mut exp = WriteExperiment::compile(&p, None).unwrap();
-        for width in [2e-9, 0.4e-9, 2e-9] {
+        // 30 ps is below 4·t_edge: its pulse gets edges of its own.
+        for width in [2e-9, 0.4e-9, 2e-9, 30e-12, 0.4e-9] {
             let reused = exp.run(width).unwrap();
             let fresh = run_write(&p, None, width).unwrap();
             assert_eq!(reused.result.times(), fresh.result.times(), "w = {width}");
-            assert_eq!(
-                reused.result.trace(reused.nodes.q),
-                fresh.result.trace(fresh.nodes.q),
-                "w = {width}"
-            );
+            for (a, b) in [
+                (reused.nodes.q, fresh.nodes.q),
+                (reused.nodes.qb, fresh.nodes.qb),
+            ] {
+                assert_eq!(reused.result.trace(a), fresh.result.trace(b), "w = {width}");
+            }
             assert_eq!(reused.flipped(), fresh.flipped(), "w = {width}");
         }
+    }
+
+    #[test]
+    fn write_prefix_cache_stays_under_256_kb() {
+        // Default timing: the 1 ps seed step records the most checkpoints.
+        let p = CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6);
+        let mut exp = WriteExperiment::compile(&p, None).unwrap();
+        crate::metrics::wl_crit_compiled(&mut exp, None).unwrap();
+        let bytes = exp.compiled.prefix_cache_bytes();
+        assert!(bytes > 0, "a write experiment records checkpoints");
+        assert!(bytes < 256 * 1024, "prefix cache holds {bytes} B");
     }
 
     #[test]

@@ -328,6 +328,19 @@ mod tests {
     }
 
     #[test]
+    fn lut1d_flat_segments_evaluate_through_the_blend() {
+        // A flat 0.8 V segment does not return exactly 0.8 everywhere: the
+        // blend v·(1−t) + v·t rounds one ulp off at some t. These two t
+        // values occur in the hold-level stimuli of the proposed cell's
+        // Monte-Carlo runs. Every published number depends on these bits,
+        // so collapsing flat segments to their level would change them.
+        let lut = Lut1d::new(vec![0.0, 1.0], vec![0.8, 0.8]).unwrap();
+        assert_eq!(lut.eval(3.0000048499997576e-2), 0.7999999999999999);
+        assert_eq!(lut.eval(1.500000424999979e-1), 0.8000000000000002);
+        assert_eq!(lut.eval(0.5), 0.8);
+    }
+
+    #[test]
     fn lut1d_clamps_out_of_range() {
         let lut = Lut1d::new(vec![0.0, 1.0], vec![2.0, 3.0]).unwrap();
         assert_eq!(lut.eval(-5.0), 2.0);

@@ -273,6 +273,26 @@ impl SparseLu {
         self.factored
     }
 
+    /// The numeric factor values of the current factorization — a
+    /// checkpoint that [`restore_factors`](SparseLu::restore_factors) puts
+    /// back while the analysis stays the same.
+    pub fn factor_values(&self) -> &[f64] {
+        &self.fvals
+    }
+
+    /// Restores factor values taken by
+    /// [`factor_values`](SparseLu::factor_values) under the current
+    /// analysis, and marks the engine factored.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless analyzed and `values` matches the factor storage.
+    pub fn restore_factors(&mut self, values: &[f64]) {
+        assert!(self.analyzed, "restore_factors before analyze");
+        self.fvals.copy_from_slice(values);
+        self.factored = true;
+    }
+
     /// Symbolic analysis + first factorization.
     ///
     /// Chooses a fill-reducing column order (greedy minimum degree on the

@@ -69,6 +69,15 @@ for threads in 1 8; do
   echo "threads=$threads: figure CSVs bit-identical latency-on vs latency-off"
 done
 
+echo "== committed figure CSVs (--quick, 1 thread, sparse) =="
+# The steps above compare solver tiers with each other, so a change that
+# moves every tier alike would pass them. Diff the default run against the
+# committed results/*.csv as well.
+for f in "$figtmp"/sparse_t1/*.csv; do
+  diff "$f" "results/$(basename "$f")"
+done
+echo "figures --quick reproduces every committed results/*.csv byte for byte"
+
 echo "== SPICE deck round-trip (golden corpus, committed cell decks, proptests) =="
 # Export -> import -> export must be byte-identical: the golden corpus pins
 # the serializer's canonical form, deck_topology pins that the committed
