@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tfet_bench::experiments::fast;
 use tfet_bench::Table;
-use tfet_sram::metrics::{wl_crit_seeded, WlCritRun};
+use tfet_sram::metrics::{wl_crit_compiled, WlCritRun};
 use tfet_sram::prelude::*;
 
 fn cell(strategy: SolverStrategy) -> CellParams {
@@ -30,7 +30,8 @@ fn cell(strategy: SolverStrategy) -> CellParams {
 }
 
 fn run(p: &CellParams) -> WlCritRun {
-    wl_crit_seeded(p, None, None).expect("β=0.6 inward-p extracts")
+    let mut exp = WriteExperiment::compile(p, None).expect("β=0.6 inward-p compiles");
+    wl_crit_compiled(&mut exp, None).expect("β=0.6 inward-p extracts")
 }
 
 fn cost(r: &WlCritRun) -> u64 {

@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tfet_bench::experiments::fast;
 use tfet_bench::Table;
-use tfet_sram::metrics::{wl_crit_compiled, wl_crit_seeded, WlCritRun};
+use tfet_sram::metrics::{wl_crit_compiled, WlCritRun};
 use tfet_sram::prelude::*;
 
 fn cell(stepping: SteppingMode, early_exit: bool) -> CellParams {
@@ -31,7 +31,8 @@ fn cell(stepping: SteppingMode, early_exit: bool) -> CellParams {
 }
 
 fn run(p: &CellParams, hint: Option<f64>) -> WlCritRun {
-    wl_crit_seeded(p, None, hint).expect("β=0.6 inward-p extracts")
+    let mut exp = WriteExperiment::compile(p, None).expect("β=0.6 inward-p compiles");
+    wl_crit_compiled(&mut exp, hint).expect("β=0.6 inward-p extracts")
 }
 
 fn effort_table() -> Table {

@@ -599,11 +599,15 @@ mod tests {
         assert_eq!(second.stats.param_binds, 2);
         assert_eq!(second.stats.runs, 1);
 
-        // The plain convenience path reports rebuild-per-run.
+        // Both plain one-shot forms report rebuild-per-run.
         let (c2, _, _) = rc(1.0);
         let plain = c2.transient(&spec, &initial).unwrap();
         assert_eq!(plain.stats.circuit_builds, 1);
         assert_eq!(plain.stats.runs, 1);
+        let mut ws = crate::NewtonWorkspace::new();
+        let full = c2.transient_with(&spec, &initial, &[], &mut ws).unwrap();
+        assert_eq!(full.stats.circuit_builds, 1);
+        assert_eq!(full.stats.runs, 1);
 
         // Aggregation: 1 build, 2 binds, 3 runs across the compiled pair +
         // plain run.

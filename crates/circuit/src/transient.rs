@@ -630,8 +630,7 @@ impl Circuit {
     /// starting with the initial state at `t = 0`. Solver scratch comes
     /// from a per-thread [`NewtonWorkspace`] that is reused across calls;
     /// use [`transient_with`](Circuit::transient_with) to supply one
-    /// explicitly, or [`transient_events`](Circuit::transient_events) to
-    /// add early-exit conditions.
+    /// explicitly or to add early-exit conditions.
     ///
     /// # Errors
     ///
@@ -642,17 +641,19 @@ impl Circuit {
         spec: &TransientSpec,
         initial: &InitialState,
     ) -> Result<TransientResult, SimError> {
-        self.transient_events(spec, initial, &[])
+        with_workspace(|ws| self.transient_with(spec, initial, &[], ws))
     }
 
-    /// Runs a transient analysis with caller-owned solver scratch.
+    /// The full one-shot transient: early-exit `events` (the run may end on
+    /// a [`StopEvent`]) and caller-owned solver scratch.
     ///
-    /// Identical to [`transient`](Circuit::transient), but every Jacobian,
-    /// residual, LU and companion-model buffer comes from `ws`, so the time
-    /// loop performs **no per-step heap allocation** once the workspace is
-    /// warm — the waveform store itself is pre-sized for the whole run.
-    /// Holding one workspace across many runs (a Monte-Carlo worker's inner
-    /// loop) eliminates per-sample allocation churn as well.
+    /// Every Jacobian, residual, LU and companion-model buffer comes from
+    /// `ws`, so the time loop performs **no per-step heap allocation** once
+    /// the workspace is warm — the waveform store itself is pre-sized for
+    /// the whole run. Holding one workspace across many runs (a
+    /// Monte-Carlo worker's inner loop) eliminates per-sample allocation
+    /// churn as well. Like [`transient`](Circuit::transient), the result
+    /// counts one circuit build: a plain circuit is re-assembled per run.
     ///
     /// # Errors
     ///
@@ -662,46 +663,12 @@ impl Circuit {
         &self,
         spec: &TransientSpec,
         initial: &InitialState,
-        ws: &mut NewtonWorkspace,
-    ) -> Result<TransientResult, SimError> {
-        let mut result = self.transient_events_with(spec, initial, &[], ws)?;
-        result.stats.circuit_builds = 1;
-        Ok(result)
-    }
-
-    /// Runs a transient analysis that may end early on a [`StopEvent`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC/Newton failures ([`SimError::NoConvergence`],
-    /// [`SimError::SingularMatrix`], [`SimError::InvalidCircuit`]).
-    pub fn transient_events(
-        &self,
-        spec: &TransientSpec,
-        initial: &InitialState,
-        events: &[StopEvent],
-    ) -> Result<TransientResult, SimError> {
-        let mut result =
-            with_workspace(|ws| self.transient_events_with(spec, initial, events, ws))?;
-        result.stats.circuit_builds = 1;
-        Ok(result)
-    }
-
-    /// The full transient engine: caller-owned scratch plus early-exit
-    /// events. All other transient entry points delegate here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC/Newton failures ([`SimError::NoConvergence`],
-    /// [`SimError::SingularMatrix`], [`SimError::InvalidCircuit`]).
-    pub fn transient_events_with(
-        &self,
-        spec: &TransientSpec,
-        initial: &InitialState,
         events: &[StopEvent],
         ws: &mut NewtonWorkspace,
     ) -> Result<TransientResult, SimError> {
-        self.run_transient(spec, initial, events, ws, None)
+        let mut result = self.run_transient(spec, initial, events, ws, None)?;
+        result.stats.circuit_builds = 1;
+        Ok(result)
     }
 
     /// Solves the state at `t = 0`: the DC operating point, or the
@@ -750,8 +717,8 @@ impl Circuit {
         }
     }
 
-    /// [`transient_events_with`](Circuit::transient_events_with) with an
-    /// optional prefix cache. With one, the run resumes from the latest
+    /// [`transient_with`](Circuit::transient_with) with an optional prefix
+    /// cache. With one, the run resumes from the latest
     /// checkpoint the cache holds for it instead of from the initial state,
     /// and records checkpoints as it goes (see [`PrefixCache`]). Either way
     /// the time loop below runs once, from a [`LoopState`] seeded by the
@@ -1343,7 +1310,12 @@ mod tests {
             TransientSpec::fixed(20e-9, 10e-12),
         ] {
             let res = c
-                .transient_events(&spec, &InitialState::Uic(vec![]), &events)
+                .transient_with(
+                    &spec,
+                    &InitialState::Uic(vec![]),
+                    &events,
+                    &mut NewtonWorkspace::new(),
+                )
                 .unwrap();
             assert!(res.stats.early_exit, "event must fire");
             let t_end = *res.times().last().unwrap();
@@ -1364,10 +1336,11 @@ mod tests {
         c.capacitor(out, Circuit::GND, 1e-12);
         let events = [StopEvent::diff_above(out, Circuit::GND, 0.5, 5e-9)];
         let res = c
-            .transient_events(
+            .transient_with(
                 &TransientSpec::new(20e-9, 1e-12),
                 &InitialState::Uic(vec![]),
                 &events,
+                &mut NewtonWorkspace::new(),
             )
             .unwrap();
         assert!(res.stats.early_exit);

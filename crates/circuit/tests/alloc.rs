@@ -93,7 +93,7 @@ fn rc_chain() -> Circuit {
 fn run(c: &Circuit, steps: usize, ws: &mut NewtonWorkspace) -> usize {
     let spec = TransientSpec::fixed(steps as f64 * 1e-12, 1e-12);
     let (result, allocs) = count(|| {
-        c.transient_with(&spec, &InitialState::Uic(vec![]), ws)
+        c.transient_with(&spec, &InitialState::Uic(vec![]), &[], ws)
             .unwrap()
     });
     assert_eq!(result.len(), steps + 1);
@@ -103,7 +103,7 @@ fn run(c: &Circuit, steps: usize, ws: &mut NewtonWorkspace) -> usize {
 fn run_adaptive(c: &Circuit, t_stop: f64, ws: &mut NewtonWorkspace) -> usize {
     let spec = TransientSpec::new(t_stop, 1e-12);
     let (_, allocs) = count(|| {
-        c.transient_with(&spec, &InitialState::Uic(vec![]), ws)
+        c.transient_with(&spec, &InitialState::Uic(vec![]), &[], ws)
             .unwrap()
     });
     allocs

@@ -224,6 +224,7 @@ fn dense_backend_refactorizes_every_iteration_and_matches_sparse() {
             .transient_with(
                 &TransientSpec::fixed(2e-9, 10e-12).with_solver(solver),
                 &InitialState::DcOp(vec![(out, 0.8)]),
+                &[],
                 &mut ws,
             )
             .unwrap();

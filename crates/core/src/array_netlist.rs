@@ -1,12 +1,13 @@
 //! Fast-SPICE bitcell-array engine: real R×C transients with peripherals.
 //!
 //! The paper characterizes a single cell; a downstream user builds
-//! *arrays*. One [`ArrayNetlist`] composes R rows × C columns of the
-//! existing 6T cell with
+//! *arrays*. One [`ArrayNetlist`] composes R rows × C columns of one 6T
+//! cell — built-in, or deck-imported through [`CellParams::with_topology`]
+//! — with
 //!
 //! * **shared wordlines and bitlines** — each cell placed on its row/column
-//!   lines via [`build_cell_on_lines`](crate::cell::build_cell_on_lines), so half-selection on the written
-//!   row is physical, not modeled;
+//!   lines via [`CellTopology::place_on_lines`], so half-selection on the
+//!   written row is physical, not modeled;
 //! * **sram22-style peripherals** — a per-row wordline driver (2-input
 //!   NAND of `row-select · wl_en`, plus an output inverter when the access
 //!   polarity needs an active-high wordline), per-column precharge
@@ -36,6 +37,7 @@ use crate::error::SramError;
 use crate::metrics::{self, WlCrit};
 use crate::tech::{CellKind, CellParams, Role};
 use crate::topology::CellTopology;
+use std::sync::Arc;
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
     CellPartition, Circuit, CompiledCircuit, DeviceLatency, GuardKind, NodeId, SolveStats,
@@ -61,7 +63,10 @@ pub struct ArraySpec {
     pub rows: usize,
     /// Number of columns (bitline pairs).
     pub cols: usize,
-    /// The cell replicated at every (row, column).
+    /// The cell replicated at every (row, column), wired as its topology:
+    /// an imported `.subckt` cell ([`CellParams::with_topology`]) gets the
+    /// same peripherals, latency partitions and operation schedule as a
+    /// built-in one.
     pub cell: CellParams,
     /// Device-evaluation latency tier for every transient run on this
     /// netlist. Defaults to the process-wide default (`On` unless
@@ -69,11 +74,6 @@ pub struct ArraySpec {
     /// `Off` is the full-evaluation baseline the gates and the throughput
     /// bench compare against.
     pub latency: DeviceLatency,
-    /// Optional explicit cell topology. `None` replicates the built-in
-    /// generator for `cell.kind`; `Some` replicates an imported `.subckt`
-    /// cell at every (row, column) instead — same peripherals, same latency
-    /// partitions, same operation schedule.
-    pub topology: Option<CellTopology>,
 }
 
 impl ArraySpec {
@@ -85,20 +85,12 @@ impl ArraySpec {
             cols,
             cell,
             latency: DeviceLatency::default(),
-            topology: None,
         }
     }
 
     /// Selects the device-evaluation latency tier (builder style).
     pub fn with_latency(mut self, latency: DeviceLatency) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Replicates an explicit (typically deck-imported) cell topology
-    /// instead of the built-in generator (builder style).
-    pub fn with_topology(mut self, topology: CellTopology) -> Self {
-        self.topology = Some(topology);
         self
     }
 
@@ -122,7 +114,7 @@ impl ArraySpec {
                 self.rows, self.cols
             )));
         }
-        if let Some(topo) = &self.topology {
+        if let Some(topo) = &self.cell.topology {
             if topo.has_read_port() {
                 return Err(SramError::InvalidParameter(
                     "array netlist has no rbl/rwl columns; read-port topologies \
@@ -137,14 +129,6 @@ impl ArraySpec {
                 "array netlist supports the 6T topologies, not {other:?}"
             ))),
         }
-    }
-
-    /// The effective cell topology: the explicit override, or the built-in
-    /// generator for `cell.kind`.
-    fn cell_topology(&self) -> CellTopology {
-        self.topology
-            .clone()
-            .unwrap_or_else(|| CellTopology::builtin(self.cell.kind))
     }
 }
 
@@ -206,7 +190,7 @@ pub struct ArrayRead {
 #[derive(Debug)]
 pub struct ArrayNetlist {
     spec: ArraySpec,
-    topo: CellTopology,
+    topo: Arc<CellTopology>,
     compiled: CompiledCircuit,
     /// Per-cell node handles, row-major.
     cells: Vec<CellNodes>,
@@ -245,7 +229,7 @@ impl ArrayNetlist {
     pub fn build(spec: ArraySpec) -> Result<Self, SramError> {
         let _span = tfet_obs::span("array_netlist_build");
         spec.validate()?;
-        let topo = spec.cell_topology();
+        let topo = spec.cell.cell_topology();
         let cell = &spec.cell;
         let vdd = cell.vdd;
         let access = topo.access();

@@ -1,35 +1,116 @@
 //! Design-space exploration sweeps (the engines behind Figs. 4, 6, 7, 8).
 //!
 //! Each function returns plain data series so the bench harness and the
-//! figure binaries can print them in the paper's own coordinates. Sweep
-//! points are independent simulations, so every sweep fans out over worker
-//! threads ([`tfet_numerics::parallel::par_try_map_with`]) while returning
-//! points in grid order — identical output at any thread count. Each worker
+//! figure binaries can print them in the paper's own coordinates. All five
+//! sweeps are views of one β-sweep engine that measures a read side, a
+//! write side, or both (each with its own assist) at every β. Sweep points
+//! are independent simulations, so the engine fans out over worker threads
+//! ([`tfet_numerics::parallel::par_try_map_with`]) while returning points
+//! in grid order — identical output at any thread count. Each worker
 //! compiles its experiment circuits once and retargets them per β through
 //! device binds ([`WriteExperiment::bind_cell`] and friends); the compiled
 //! circuit is a cache, so values never depend on which worker evaluated a
-//! point.
+//! point. The cell's wiring comes from the base parameters
+//! ([`CellParams::with_topology`]), so a deck-imported cell sweeps exactly
+//! like a built-in one.
 
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
-use crate::metrics::{
-    read_metrics_compiled, read_metrics_on, wl_crit_compiled, wl_crit_on, WlCrit,
-};
+use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit};
 use crate::ops::{ReadExperiment, WriteExperiment};
 use crate::tech::CellParams;
-use crate::topology::CellTopology;
 use tfet_numerics::parallel::par_try_map_with;
 
-/// Evaluates the first grid point cold (serially) and returns its finite
-/// `WL_crit` — if any — as the bracket seed for the remaining points.
+/// What one β point measured: the DRNM when the sweep has a read side, the
+/// `WL_crit` when it has a write side.
+#[derive(Debug, Clone, Copy)]
+struct Measured {
+    beta: f64,
+    drnm: Option<f64>,
+    wl_crit: Option<WlCrit>,
+}
+
+/// A worker's experiments: compiled at its first point, rebound to every
+/// later one.
+#[derive(Default)]
+struct Experiments {
+    read: Option<ReadExperiment>,
+    write: Option<WriteExperiment>,
+}
+
+impl Experiments {
+    /// Retargets (or first compiles) each side the sweep runs at `beta`,
+    /// then runs the read and the seeded `WL_crit` search.
+    fn measure(
+        &mut self,
+        base: &CellParams,
+        beta: f64,
+        read: Option<Option<ReadAssist>>,
+        write: Option<Option<WriteAssist>>,
+        hint: Option<f64>,
+    ) -> Result<Measured, SramError> {
+        let params = base.clone().with_beta(beta);
+        if let Some(assist) = read {
+            match &mut self.read {
+                Some(exp) => exp.bind_cell(&params)?,
+                None => self.read = Some(ReadExperiment::compile(&params, assist)?),
+            }
+        }
+        if let Some(assist) = write {
+            match &mut self.write {
+                Some(exp) => exp.bind_cell(&params)?,
+                None => self.write = Some(WriteExperiment::compile(&params, assist)?),
+            }
+        }
+        let drnm = match &mut self.read {
+            Some(exp) => Some(read_metrics_compiled(exp)?.drnm),
+            None => None,
+        };
+        let wl_crit = match &mut self.write {
+            Some(exp) => Some(wl_crit_compiled(exp, hint)?.value),
+            None => None,
+        };
+        Ok(Measured {
+            beta,
+            drnm,
+            wl_crit,
+        })
+    }
+}
+
+/// The one β-sweep engine. `read` and `write` each select a side to
+/// measure at every β (`None` skips it) and that side's assist.
 ///
-/// `WL_crit` varies smoothly (and monotonically) in β, so the first point's
-/// answer lands the seeded search of every later point inside a narrow
-/// bracket. The hint is computed once and shared, never chained point to
-/// point, so the fanned-out points stay independent and the sweep output is
-/// identical at any thread count.
-fn first_point_hint(first: WlCrit) -> Option<f64> {
-    first.as_finite()
+/// With a write side, the first point runs serially on fresh experiments
+/// with a cold search, and its finite `WL_crit` seeds the search of every
+/// later point. `WL_crit` varies smoothly (and monotonically) in β, so the
+/// first answer lands each later search inside a narrow bracket. The hint
+/// is computed once and shared, never chained point to point, so the
+/// fanned-out points stay independent and the sweep output is identical at
+/// any thread count. A read-only sweep has nothing to seed and fans out
+/// from its first point.
+fn sweep(
+    base: &CellParams,
+    betas: &[f64],
+    read: Option<Option<ReadAssist>>,
+    write: Option<Option<WriteAssist>>,
+) -> Result<Vec<Measured>, SramError> {
+    let mut points = Vec::with_capacity(betas.len());
+    let mut rest = betas;
+    let mut hint = None;
+    if write.is_some() {
+        if let Some((&beta0, tail)) = betas.split_first() {
+            let first = Experiments::default().measure(base, beta0, read, write, None)?;
+            hint = first.wl_crit.and_then(WlCrit::as_finite);
+            points.push(first);
+            rest = tail;
+        }
+    }
+    let tail = par_try_map_with(rest.len(), None, Experiments::default, |exps, i| {
+        exps.measure(base, rest[i], read, write, hint)
+    })?;
+    points.extend(tail);
+    Ok(points)
 }
 
 /// One point of a β sweep.
@@ -49,61 +130,14 @@ pub struct BetaPoint {
 ///
 /// Propagates simulation failures.
 pub fn beta_sweep(base: &CellParams, betas: &[f64]) -> Result<Vec<BetaPoint>, SramError> {
-    beta_sweep_topo(&CellTopology::builtin(base.kind), base, betas)
-}
-
-/// [`beta_sweep`] for an explicit topology — the entry point for cells that
-/// exist only as an imported `.subckt`.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn beta_sweep_topo(
-    topo: &CellTopology,
-    base: &CellParams,
-    betas: &[f64],
-) -> Result<Vec<BetaPoint>, SramError> {
-    let Some((&beta0, rest)) = betas.split_first() else {
-        return Ok(Vec::new());
-    };
-    let params0 = base.clone().with_beta(beta0);
-    let first = BetaPoint {
-        beta: beta0,
-        drnm: read_metrics_on(topo, &params0, None)?.drnm,
-        wl_crit: wl_crit_on(topo, &params0, None)?,
-    };
-    let hint = first_point_hint(first.wl_crit);
-    let tail = par_try_map_with(
-        rest.len(),
-        None,
-        || None,
-        |slot: &mut Option<(ReadExperiment, WriteExperiment)>, i| -> Result<_, SramError> {
-            let beta = rest[i];
-            let params = base.clone().with_beta(beta);
-            match slot {
-                Some((read, write)) => {
-                    read.bind_cell(&params)?;
-                    write.bind_cell(&params)?;
-                }
-                None => {
-                    *slot = Some((
-                        ReadExperiment::compile_on(topo, &params, None)?,
-                        WriteExperiment::compile_on(topo, &params, None)?,
-                    ));
-                }
-            }
-            let (read, write) = slot.as_mut().expect("compiled above");
-            Ok(BetaPoint {
-                beta,
-                drnm: read_metrics_compiled(read)?.drnm,
-                wl_crit: wl_crit_compiled(write, hint)?.value,
-            })
-        },
-    )?;
-    let mut pts = Vec::with_capacity(betas.len());
-    pts.push(first);
-    pts.extend(tail);
-    Ok(pts)
+    Ok(sweep(base, betas, Some(None), Some(None))?
+        .into_iter()
+        .map(|m| BetaPoint {
+            beta: m.beta,
+            drnm: m.drnm.expect("read side runs"),
+            wl_crit: m.wl_crit.expect("write side runs"),
+        })
+        .collect())
 }
 
 /// One point of a write-assist sweep.
@@ -127,50 +161,13 @@ pub fn write_assist_sweep(
     assist: WriteAssist,
     betas: &[f64],
 ) -> Result<Vec<WaPoint>, SramError> {
-    write_assist_sweep_topo(&CellTopology::builtin(base.kind), base, assist, betas)
-}
-
-/// [`write_assist_sweep`] for an explicit topology.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn write_assist_sweep_topo(
-    topo: &CellTopology,
-    base: &CellParams,
-    assist: WriteAssist,
-    betas: &[f64],
-) -> Result<Vec<WaPoint>, SramError> {
-    let Some((&beta0, rest)) = betas.split_first() else {
-        return Ok(Vec::new());
-    };
-    let first = WaPoint {
-        beta: beta0,
-        wl_crit: wl_crit_on(topo, &base.clone().with_beta(beta0), Some(assist))?,
-    };
-    let hint = first_point_hint(first.wl_crit);
-    let tail = par_try_map_with(
-        rest.len(),
-        None,
-        || None,
-        |slot: &mut Option<WriteExperiment>, i| -> Result<_, SramError> {
-            let beta = rest[i];
-            let params = base.clone().with_beta(beta);
-            match slot {
-                Some(exp) => exp.bind_cell(&params)?,
-                None => *slot = Some(WriteExperiment::compile_on(topo, &params, Some(assist))?),
-            }
-            let exp = slot.as_mut().expect("compiled above");
-            Ok(WaPoint {
-                beta,
-                wl_crit: wl_crit_compiled(exp, hint)?.value,
-            })
-        },
-    )?;
-    let mut pts = Vec::with_capacity(betas.len());
-    pts.push(first);
-    pts.extend(tail);
-    Ok(pts)
+    Ok(sweep(base, betas, None, Some(Some(assist)))?
+        .into_iter()
+        .map(|m| WaPoint {
+            beta: m.beta,
+            wl_crit: m.wl_crit.expect("write side runs"),
+        })
+        .collect())
 }
 
 /// One point of a read-assist sweep.
@@ -194,38 +191,13 @@ pub fn read_assist_sweep(
     assist: ReadAssist,
     betas: &[f64],
 ) -> Result<Vec<RaPoint>, SramError> {
-    read_assist_sweep_topo(&CellTopology::builtin(base.kind), base, assist, betas)
-}
-
-/// [`read_assist_sweep`] for an explicit topology.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn read_assist_sweep_topo(
-    topo: &CellTopology,
-    base: &CellParams,
-    assist: ReadAssist,
-    betas: &[f64],
-) -> Result<Vec<RaPoint>, SramError> {
-    par_try_map_with(
-        betas.len(),
-        None,
-        || None,
-        |slot: &mut Option<ReadExperiment>, i| -> Result<_, SramError> {
-            let beta = betas[i];
-            let params = base.clone().with_beta(beta);
-            match slot {
-                Some(exp) => exp.bind_cell(&params)?,
-                None => *slot = Some(ReadExperiment::compile_on(topo, &params, Some(assist))?),
-            }
-            let exp = slot.as_mut().expect("compiled above");
-            Ok(RaPoint {
-                beta,
-                drnm: read_metrics_compiled(exp)?.drnm,
-            })
-        },
-    )
+    Ok(sweep(base, betas, Some(Some(assist)), None)?
+        .into_iter()
+        .map(|m| RaPoint {
+            beta: m.beta,
+            drnm: m.drnm.expect("read side runs"),
+        })
+        .collect())
 }
 
 /// A technique's operating curve in the (DRNM, `WL_crit`) plane — one point
@@ -240,6 +212,25 @@ pub struct TradeoffCurve {
     pub points: Vec<(f64, f64)>,
 }
 
+/// The (DRNM, `WL_crit`) pairs of a two-sided sweep. Points whose write
+/// fails are omitted, and so are unbracketable ones: their search's
+/// decisive transient failed to converge, which makes the point
+/// unmeasurable but does not kill the curve.
+fn tradeoff(
+    base: &CellParams,
+    betas: &[f64],
+    read: Option<ReadAssist>,
+    write: Option<WriteAssist>,
+) -> Result<Vec<(f64, f64)>, SramError> {
+    Ok(sweep(base, betas, Some(read), Some(write))?
+        .into_iter()
+        .filter_map(|m| {
+            let w = m.wl_crit.expect("write side runs").as_finite()?;
+            Some((m.drnm.expect("read side runs"), w))
+        })
+        .collect())
+}
+
 /// Builds the Fig. 8 tradeoff curve for one write-assist technique.
 ///
 /// # Errors
@@ -250,61 +241,9 @@ pub fn wa_tradeoff(
     assist: WriteAssist,
     betas: &[f64],
 ) -> Result<TradeoffCurve, SramError> {
-    wa_tradeoff_topo(&CellTopology::builtin(base.kind), base, assist, betas)
-}
-
-/// [`wa_tradeoff`] for an explicit topology.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn wa_tradeoff_topo(
-    topo: &CellTopology,
-    base: &CellParams,
-    assist: WriteAssist,
-    betas: &[f64],
-) -> Result<TradeoffCurve, SramError> {
-    let mut points = Vec::with_capacity(betas.len());
-    if let Some((&beta0, rest)) = betas.split_first() {
-        let params0 = base.clone().with_beta(beta0);
-        let drnm0 = read_metrics_on(topo, &params0, None)?.drnm;
-        let wl0 = wl_crit_on(topo, &params0, Some(assist))?;
-        let hint = first_point_hint(wl0);
-        points.push(wl0.as_finite().map(|w| (drnm0, w)));
-        let tail = par_try_map_with(
-            rest.len(),
-            None,
-            || None,
-            |slot: &mut Option<(ReadExperiment, WriteExperiment)>, i| -> Result<_, SramError> {
-                let params = base.clone().with_beta(rest[i]);
-                match slot {
-                    Some((read, write)) => {
-                        read.bind_cell(&params)?;
-                        write.bind_cell(&params)?;
-                    }
-                    None => {
-                        *slot = Some((
-                            ReadExperiment::compile_on(topo, &params, None)?,
-                            WriteExperiment::compile_on(topo, &params, Some(assist))?,
-                        ));
-                    }
-                }
-                let (read, write) = slot.as_mut().expect("compiled above");
-                let drnm = read_metrics_compiled(read)?.drnm;
-                Ok(match wl_crit_compiled(write, hint)?.value {
-                    WlCrit::Finite(w) => Some((drnm, w)),
-                    // Unbracketable: the search's decisive transient failed
-                    // to converge — the point is unmeasurable, not a curve
-                    // killer; skip it like an unwritable one.
-                    WlCrit::Infinite | WlCrit::Unbracketable => None,
-                })
-            },
-        )?;
-        points.extend(tail);
-    }
     Ok(TradeoffCurve {
         label: format!("{} WA", assist.label()),
-        points: points.into_iter().flatten().collect(),
+        points: tradeoff(base, betas, None, Some(assist))?,
     })
 }
 
@@ -318,59 +257,9 @@ pub fn ra_tradeoff(
     assist: ReadAssist,
     betas: &[f64],
 ) -> Result<TradeoffCurve, SramError> {
-    ra_tradeoff_topo(&CellTopology::builtin(base.kind), base, assist, betas)
-}
-
-/// [`ra_tradeoff`] for an explicit topology.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn ra_tradeoff_topo(
-    topo: &CellTopology,
-    base: &CellParams,
-    assist: ReadAssist,
-    betas: &[f64],
-) -> Result<TradeoffCurve, SramError> {
-    let mut points = Vec::with_capacity(betas.len());
-    if let Some((&beta0, rest)) = betas.split_first() {
-        let params0 = base.clone().with_beta(beta0);
-        let drnm0 = read_metrics_on(topo, &params0, Some(assist))?.drnm;
-        let wl0 = wl_crit_on(topo, &params0, None)?;
-        let hint = first_point_hint(wl0);
-        points.push(wl0.as_finite().map(|w| (drnm0, w)));
-        let tail = par_try_map_with(
-            rest.len(),
-            None,
-            || None,
-            |slot: &mut Option<(ReadExperiment, WriteExperiment)>, i| -> Result<_, SramError> {
-                let params = base.clone().with_beta(rest[i]);
-                match slot {
-                    Some((read, write)) => {
-                        read.bind_cell(&params)?;
-                        write.bind_cell(&params)?;
-                    }
-                    None => {
-                        *slot = Some((
-                            ReadExperiment::compile_on(topo, &params, Some(assist))?,
-                            WriteExperiment::compile_on(topo, &params, None)?,
-                        ));
-                    }
-                }
-                let (read, write) = slot.as_mut().expect("compiled above");
-                let drnm = read_metrics_compiled(read)?.drnm;
-                Ok(match wl_crit_compiled(write, hint)?.value {
-                    WlCrit::Finite(w) => Some((drnm, w)),
-                    // Skip unmeasurable points — see `wa_tradeoff`.
-                    WlCrit::Infinite | WlCrit::Unbracketable => None,
-                })
-            },
-        )?;
-        points.extend(tail);
-    }
     Ok(TradeoffCurve {
         label: format!("{} RA", assist.label()),
-        points: points.into_iter().flatten().collect(),
+        points: tradeoff(base, betas, Some(assist), None)?,
     })
 }
 

@@ -11,6 +11,13 @@
 //!   from a read transient;
 //! * [`write_delay`] — wordline activation to storage-node crossing under a
 //!   generous pulse.
+//!
+//! Each metric has one one-shot form taking [`CellParams`]; the two
+//! transient searches add one compiled form ([`wl_crit_compiled`],
+//! [`read_metrics_compiled`]) that re-runs a [`WriteExperiment`] /
+//! [`ReadExperiment`]. The cell's wiring travels inside the parameters
+//! ([`CellParams::with_topology`]), so a deck-imported cell reaches every
+//! metric through the same calls as a built-in one.
 
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
@@ -106,8 +113,20 @@ pub struct WlCritRun {
     pub failure: Option<SramError>,
 }
 
+/// The asymmetric 6T TFET SRAM's ground-collapse write has no separatrix
+/// (paper §5), so it has no `WL_crit`.
+fn no_separatrix() -> SramError {
+    SramError::Undefined {
+        metric: "WL_crit",
+        reason: "the asymmetric 6T TFET SRAM's write has no separatrix".into(),
+    }
+}
+
 /// Critical wordline pulse width for a successful write, searched on
-/// `[5·dt, max_pulse]` to `pulse_tol` resolution.
+/// `[5·dt, max_pulse]` to `pulse_tol` resolution. One-shot: compiles the
+/// write experiment for `params` (wired as its topology), searches cold,
+/// and discards the compiled form; see [`wl_crit_compiled`] for the
+/// reusable, seeded form.
 ///
 /// # Errors
 ///
@@ -117,61 +136,29 @@ pub struct WlCritRun {
 /// unless they strike a decisive probe, in which case the search reports
 /// [`WlCrit::Unbracketable`] instead of an error.
 pub fn wl_crit(params: &CellParams, assist: Option<WriteAssist>) -> Result<WlCrit, SramError> {
-    Ok(wl_crit_seeded(params, assist, None)?.value)
-}
-
-/// [`wl_crit`] with a warm-start hint and effort accounting: `hint` is a
-/// guess at the critical width — typically the result at the previous sweep
-/// point or the nominal Monte-Carlo cell, both of which bracket the search
-/// tightly (`WL_crit` is monotone in β and smooth in the process
-/// variations). A good hint replaces the full-range bisection with a short
-/// search around the hint; a bad or absent hint degrades gracefully to the
-/// cold search. The returned value never depends on the hint, only the
-/// number of transients run does.
-///
-/// # Errors
-///
-/// As [`wl_crit`].
-pub fn wl_crit_seeded(
-    params: &CellParams,
-    assist: Option<WriteAssist>,
-    hint: Option<f64>,
-) -> Result<WlCritRun, SramError> {
     if params.kind == CellKind::TfetAsym6T {
-        return Err(SramError::Undefined {
-            metric: "WL_crit",
-            reason: "the asymmetric 6T TFET SRAM's write has no separatrix".into(),
-        });
+        return Err(no_separatrix());
     }
-    params.validate()?;
     let mut exp = WriteExperiment::compile(params, assist)?;
-    wl_crit_compiled(&mut exp, hint)
-}
-
-/// [`wl_crit`] for an explicit topology — the entry point for cells that
-/// exist only as an imported `.subckt`. One-shot: compiles the write
-/// experiment on `topo`, searches, discards the compiled form.
-///
-/// # Errors
-///
-/// As [`wl_crit`].
-pub fn wl_crit_on(
-    topo: &crate::topology::CellTopology,
-    params: &CellParams,
-    assist: Option<WriteAssist>,
-) -> Result<WlCrit, SramError> {
-    let mut exp = WriteExperiment::compile_on(topo, params, assist)?;
     Ok(wl_crit_compiled(&mut exp, None)?.value)
 }
 
-/// [`wl_crit_seeded`] against an already-compiled [`WriteExperiment`]:
-/// every transient of the search rebinds the pulse width and re-runs the
-/// frozen circuit, so a sweep or Monte-Carlo batch pays one compile for
-/// the whole search (and, via
+/// [`wl_crit`] against an already-compiled [`WriteExperiment`], with a
+/// warm-start hint and effort accounting. Every transient of the search
+/// rebinds the pulse width and re-runs the frozen circuit, so a sweep or
+/// Monte-Carlo batch pays one compile for the whole search (and, via
 /// [`bind_cell`](WriteExperiment::bind_cell), for every subsequent
 /// search on the same topology). The `effort` counters therefore report
 /// `circuit_builds` far below `runs` — the build/bind/run ratio the
 /// throughput bench pins.
+///
+/// `hint` is a guess at the critical width — typically the result at the
+/// previous sweep point or the nominal Monte-Carlo cell, both of which
+/// bracket the search tightly (`WL_crit` is monotone in β and smooth in
+/// the process variations). A good hint replaces the full-range bisection
+/// with a short search around the hint; a bad or absent hint degrades
+/// gracefully to the cold search. The returned value never depends on the
+/// hint, only the number of transients run does.
 ///
 /// # Errors
 ///
@@ -184,10 +171,7 @@ pub fn wl_crit_compiled(
 ) -> Result<WlCritRun, SramError> {
     let _span = tfet_obs::span("wl_crit");
     if exp.kind() == CellKind::TfetAsym6T {
-        return Err(SramError::Undefined {
-            metric: "WL_crit",
-            reason: "the asymmetric 6T TFET SRAM's write has no separatrix".into(),
-        });
+        return Err(no_separatrix());
     }
     let lo = 5.0 * exp.sim().dt;
     let hi = exp.sim().max_pulse;
@@ -290,7 +274,8 @@ pub struct ReadMetrics {
 /// Sense threshold used for read delay, V.
 pub const SENSE_DV: f64 = 0.05;
 
-/// Runs a read and extracts [`ReadMetrics`].
+/// Runs a read of `params` (wired as its topology) and extracts
+/// [`ReadMetrics`].
 ///
 /// # Errors
 ///
@@ -300,21 +285,6 @@ pub fn read_metrics(
     assist: Option<ReadAssist>,
 ) -> Result<ReadMetrics, SramError> {
     let mut exp = ReadExperiment::compile(params, assist)?;
-    read_metrics_compiled(&mut exp)
-}
-
-/// [`read_metrics`] for an explicit topology — the entry point for cells
-/// that exist only as an imported `.subckt`.
-///
-/// # Errors
-///
-/// As [`read_metrics`].
-pub fn read_metrics_on(
-    topo: &crate::topology::CellTopology,
-    params: &CellParams,
-    assist: Option<ReadAssist>,
-) -> Result<ReadMetrics, SramError> {
-    let mut exp = ReadExperiment::compile_on(topo, params, assist)?;
     read_metrics_compiled(&mut exp)
 }
 
@@ -466,6 +436,11 @@ mod tests {
         p
     }
 
+    fn wl_crit_run(p: &CellParams, hint: Option<f64>) -> WlCritRun {
+        let mut exp = WriteExperiment::compile(p, None).unwrap();
+        wl_crit_compiled(&mut exp, hint).unwrap()
+    }
+
     #[test]
     fn adaptive_engine_cuts_newton_effort() {
         // The PR's headline claim: adaptive stepping plus event-driven early
@@ -478,8 +453,8 @@ mod tests {
         let mut fixed = adaptive.clone();
         fixed.sim.stepping = SteppingMode::Fixed;
         fixed.sim.early_exit = false;
-        let a = wl_crit_seeded(&adaptive, None, None).unwrap();
-        let f = wl_crit_seeded(&fixed, None, None).unwrap();
+        let a = wl_crit_run(&adaptive, None);
+        let f = wl_crit_run(&fixed, None);
         let (wa, wf) = match (a.value, f.value) {
             (WlCrit::Finite(wa), WlCrit::Finite(wf)) => (wa, wf),
             other => panic!("both engines must find a finite WL_crit: {other:?}"),
@@ -508,9 +483,9 @@ mod tests {
         // reduce the number of write transients (oracle calls) without
         // moving the answer by more than the bisection tolerance.
         let p = fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6));
-        let cold = wl_crit_seeded(&p, None, None).unwrap();
+        let cold = wl_crit_run(&p, None);
         let w0 = cold.value.as_finite().expect("β=0.6 is writable");
-        let seeded = wl_crit_seeded(&p, None, Some(w0)).unwrap();
+        let seeded = wl_crit_run(&p, Some(w0));
         let w1 = seeded.value.as_finite().expect("seeded search agrees");
         assert!(
             (w1 - w0).abs() <= 2.0 * p.sim.pulse_tol,

@@ -47,7 +47,6 @@ use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit, WlCritRun}
 use crate::ops::{ReadExperiment, WriteExperiment};
 use crate::rare_event::YieldConfig;
 use crate::tech::CellParams;
-use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tfet_numerics::parallel::par_map_with;
@@ -341,12 +340,8 @@ pub(crate) fn run_samples<E, T: Send>(
 /// sample — so results stay bit-identical at any thread count. A failing
 /// or unbracketable nominal cell yields no hint and samples fall back to
 /// the cold search.
-pub(crate) fn nominal_hint(
-    topo: &CellTopology,
-    base: &CellParams,
-    assist: Option<WriteAssist>,
-) -> Option<f64> {
-    WriteExperiment::compile_on(topo, base, assist)
+pub(crate) fn nominal_hint(base: &CellParams, assist: Option<WriteAssist>) -> Option<f64> {
+    WriteExperiment::compile(base, assist)
         .ok()
         .and_then(|mut exp| wl_crit_compiled(&mut exp, None).ok())
         .and_then(|run| run.value.as_finite())
@@ -424,7 +419,10 @@ pub(crate) fn check_yield(
 
 /// Runs an `n`-sample Monte-Carlo of `WL_crit` under explicit execution
 /// controls. Samples fan out over [`McConfig::threads`] workers; the result
-/// is bit-identical at any thread count (see the module docs).
+/// is bit-identical at any thread count (see the module docs). Variations
+/// bind to devices by [`Role`](crate::tech::Role), so a deck-imported cell
+/// ([`CellParams::with_topology`]) sees exactly the process space a
+/// generated one does.
 ///
 /// # Errors
 ///
@@ -438,31 +436,13 @@ pub fn mc_wl_crit_with(
     n: usize,
     config: McConfig,
 ) -> Result<McWlCrit, SramError> {
-    mc_wl_crit_topo(&CellTopology::builtin(base.kind), base, assist, n, config)
-}
-
-/// [`mc_wl_crit_with`] for an explicit topology — Monte-Carlo `WL_crit` on
-/// a cell that exists only as an imported `.subckt`. Variations bind to
-/// devices by [`Role`](crate::tech::Role), so an imported 6T sees exactly
-/// the process space a generated one does.
-///
-/// # Errors
-///
-/// As [`mc_wl_crit_with`].
-pub fn mc_wl_crit_topo(
-    topo: &CellTopology,
-    base: &CellParams,
-    assist: Option<WriteAssist>,
-    n: usize,
-    config: McConfig,
-) -> Result<McWlCrit, SramError> {
     let _span = tfet_obs::span("mc_wl_crit");
-    let hint = nominal_hint(topo, base, assist);
+    let hint = nominal_hint(base, assist);
     let (verdicts, quarantined) = run_samples(
         base,
         &paper_plan(n, config),
         "mc_sample_wl_crit",
-        |params| WriteExperiment::compile_on(topo, params, assist),
+        |params| WriteExperiment::compile(params, assist),
         WriteExperiment::bind_cell,
         |exp| {
             let run = wl_crit_compiled(exp, hint)?;
@@ -505,28 +485,12 @@ pub fn mc_drnm_with(
     n: usize,
     config: McConfig,
 ) -> Result<McDrnm, SramError> {
-    mc_drnm_topo(&CellTopology::builtin(base.kind), base, assist, n, config)
-}
-
-/// [`mc_drnm_with`] for an explicit topology — Monte-Carlo DRNM on a cell
-/// that exists only as an imported `.subckt`.
-///
-/// # Errors
-///
-/// As [`mc_drnm_with`].
-pub fn mc_drnm_topo(
-    topo: &CellTopology,
-    base: &CellParams,
-    assist: Option<ReadAssist>,
-    n: usize,
-    config: McConfig,
-) -> Result<McDrnm, SramError> {
     let _span = tfet_obs::span("mc_drnm");
     let (survivors, quarantined) = run_samples(
         base,
         &paper_plan(n, config),
         "mc_sample_drnm",
-        |params| ReadExperiment::compile_on(topo, params, assist),
+        |params| ReadExperiment::compile(params, assist),
         ReadExperiment::bind_cell,
         |exp| read_metrics_compiled(exp).map(|m| m.drnm),
     );

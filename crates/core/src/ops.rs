@@ -33,6 +33,12 @@
 //! once, so their numbers — and the numbers of every reused compiled
 //! experiment — are bit-identical to the historical build-per-run path.
 //!
+//! Every driver places the topology its [`CellParams`] carries (the
+//! built-in generator for `kind`, or an imported `.subckt` attached with
+//! [`CellParams::with_topology`]). A compiled experiment keeps the one
+//! `CellParams` it was compiled from, and `bind_cell` rejects a cell whose
+//! kind, topology, supply, timing or fixed capacitances differ from it.
+//!
 //! A write experiment also opts in to its circuit's prefix reuse
 //! ([`CompiledCircuit::enable_prefix_reuse`]). Two pulse widths drive the
 //! same stimuli up to the end of the shorter pulse, so each run resumes
@@ -52,6 +58,7 @@ use crate::cell::CellNodes;
 use crate::error::SramError;
 use crate::tech::{CellKind, CellParams, SimOptions};
 use crate::topology::CellTopology;
+use std::sync::Arc;
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
     Circuit, CompiledCircuit, NodeId, ParamHandle, SolveStats, SourceId, StopEvent,
@@ -112,37 +119,37 @@ fn rail_waves(
     )
 }
 
-/// Checks that `params` describes a cell a compiled experiment can absorb
-/// through device binds alone: same topology, supply, timing and fixed
-/// capacitances. Everything else (models, widths, variations, temperature)
-/// is bindable.
-fn check_bindable(
-    params: &CellParams,
-    kind: CellKind,
-    vdd: f64,
-    sim: &SimOptions,
-    c_bitline: f64,
-    c_node: f64,
-) -> Result<(), SramError> {
+/// Checks that `params` describes a cell a compiled experiment, frozen from
+/// `frozen`, can absorb through device binds alone: same kind, wiring,
+/// supply, timing and fixed capacitances. Everything else (models, widths,
+/// variations, temperature) is bindable.
+fn check_bindable(frozen: &CellParams, params: &CellParams) -> Result<(), SramError> {
     params.validate()?;
-    if params.kind != kind {
+    if params.kind != frozen.kind {
         return Err(SramError::InvalidParameter(format!(
-            "compiled experiment is for {kind:?}, cannot bind {:?}",
-            params.kind
+            "compiled experiment is for {:?}, cannot bind {:?}",
+            frozen.kind, params.kind
         )));
     }
-    if (params.vdd - vdd).abs() > 1e-15 {
+    if !frozen.same_topology(params) {
         return Err(SramError::InvalidParameter(format!(
-            "compiled experiment waveforms are frozen at vdd = {vdd} V, cannot bind {} V",
-            params.vdd
+            "compiled experiment is wired as `{}`, cannot bind a different topology (`{}`)",
+            frozen.cell_topology().name(),
+            params.cell_topology().name()
         )));
     }
-    if params.sim != *sim {
+    if (params.vdd - frozen.vdd).abs() > 1e-15 {
+        return Err(SramError::InvalidParameter(format!(
+            "compiled experiment waveforms are frozen at vdd = {} V, cannot bind {} V",
+            frozen.vdd, params.vdd
+        )));
+    }
+    if params.sim != frozen.sim {
         return Err(SramError::InvalidParameter(
             "compiled experiment timing is frozen; sim options must match".into(),
         ));
     }
-    if params.c_bitline != c_bitline || params.c_node != c_node {
+    if params.c_bitline != frozen.c_bitline || params.c_node != frozen.c_node {
         return Err(SramError::InvalidParameter(
             "compiled experiment capacitors are frozen; c_bitline/c_node must match".into(),
         ));
@@ -167,23 +174,14 @@ pub struct HoldSetup {
 /// their standby levels — V_DD for the 6T cells (the paper's "traditionally
 /// clamped at V_DD"), 0 V for the 7T cell's dedicated write bitlines (the
 /// trick that lets it use outward access devices without paying reverse-bias
-/// leakage).
+/// leakage). The cell is wired as `params`' topology.
 ///
 /// # Errors
 ///
 /// Returns [`SramError::InvalidParameter`] for invalid parameters.
 pub fn hold_setup(params: &CellParams) -> Result<HoldSetup, SramError> {
-    hold_setup_on(&CellTopology::builtin(params.kind), params)
-}
-
-/// [`hold_setup`] for an explicit topology — the entry point for cells that
-/// exist only as an imported `.subckt`.
-///
-/// # Errors
-///
-/// Returns [`SramError::InvalidParameter`] for invalid parameters.
-pub fn hold_setup_on(topo: &CellTopology, params: &CellParams) -> Result<HoldSetup, SramError> {
     params.validate()?;
+    let topo = params.cell_topology();
     let vdd = params.vdd;
     let mut c = Circuit::new();
     let nodes = topo.place(&mut c, params).nodes;
@@ -279,48 +277,34 @@ pub struct WriteExperiment {
     vdd_h: ParamHandle,
     vss_h: ParamHandle,
     wl_h: ParamHandle,
-    topo: CellTopology,
-    kind: CellKind,
-    vdd: f64,
+    /// The cell the circuit was compiled from; binds must match its frozen
+    /// fields (see `check_bindable`).
+    frozen: CellParams,
+    /// `frozen`'s resolved topology, which places and binds the devices.
+    topo: Arc<CellTopology>,
     wl_inactive: f64,
     bias: WriteBias,
-    sim: SimOptions,
-    c_bitline: f64,
-    c_node: f64,
     initial: InitialState,
 }
 
 impl WriteExperiment {
-    /// Compiles the write experiment for `params`.
+    /// Compiles the write experiment for `params`, wired as its topology.
     ///
     /// The asymmetric 6T cell always runs with its built-in (modified)
     /// ground raising; other cells use `assist` as given. Data bitline
     /// waveforms and the initial condition are pulse-width-independent, so
     /// they are frozen here; the wordline and assist windows are bound per
-    /// [`run`](WriteExperiment::run).
+    /// [`run`](WriteExperiment::run). The stimulus schedule is derived
+    /// entirely from the topology's data (access configuration, read-port
+    /// flag, bitline idle level), so an imported cell satisfying the port
+    /// contract runs the same write protocol as a built-in one.
     ///
     /// # Errors
     ///
     /// Invalid parameters and structurally bad netlists.
     pub fn compile(params: &CellParams, assist: Option<WriteAssist>) -> Result<Self, SramError> {
-        Self::compile_on(&CellTopology::builtin(params.kind), params, assist)
-    }
-
-    /// [`compile`](Self::compile) for an explicit topology — the entry
-    /// point for cells that exist only as an imported `.subckt`. The
-    /// stimulus schedule is derived entirely from the topology's data
-    /// (access configuration, read-port flag, bitline idle level), so any
-    /// cell satisfying the port contract runs the same write protocol.
-    ///
-    /// # Errors
-    ///
-    /// Invalid parameters and structurally bad netlists.
-    pub fn compile_on(
-        topo: &CellTopology,
-        params: &CellParams,
-        assist: Option<WriteAssist>,
-    ) -> Result<Self, SramError> {
         params.validate()?;
+        let topo = params.cell_topology();
         let vdd = params.vdd;
         let sim = params.sim;
         // The asymmetric 6T TFET SRAM's write mechanism *is* a modified
@@ -391,14 +375,10 @@ impl WriteExperiment {
             vdd_h,
             vss_h,
             wl_h,
-            topo: topo.clone(),
-            kind: params.kind,
-            vdd,
+            frozen: params.clone(),
+            topo,
             wl_inactive,
             bias,
-            sim,
-            c_bitline: params.c_bitline,
-            c_node: params.c_node,
             initial: InitialState::Uic(uic),
         })
     }
@@ -408,7 +388,7 @@ impl WriteExperiment {
     /// family, β rules), not the wiring — see
     /// [`topology`](Self::topology) for the wiring.
     pub fn kind(&self) -> CellKind {
-        self.kind
+        self.frozen.kind
     }
 
     /// The cell topology this experiment was compiled on.
@@ -418,7 +398,7 @@ impl WriteExperiment {
 
     /// The frozen simulation options (timing, tolerances).
     pub fn sim(&self) -> &SimOptions {
-        &self.sim
+        &self.frozen.sim
     }
 
     /// Cumulative solver effort across every run of this experiment — the
@@ -431,23 +411,17 @@ impl WriteExperiment {
 
     /// Retargets the compiled experiment at a different cell of the same
     /// topology: rebinds every transistor model and width from `params`
-    /// (sizing, variations, temperature, device mode). The frozen supply,
-    /// timing and capacitances must match, because the compile-time
-    /// waveforms and initial conditions depend on them.
+    /// (sizing, variations, temperature, device mode). The frozen kind,
+    /// topology, supply, timing and capacitances must match, because the
+    /// compiled circuit and its waveforms and initial conditions depend on
+    /// them.
     ///
     /// # Errors
     ///
     /// [`SramError::InvalidParameter`] for invalid parameters or a cell the
     /// frozen circuit cannot represent.
     pub fn bind_cell(&mut self, params: &CellParams) -> Result<(), SramError> {
-        check_bindable(
-            params,
-            self.kind,
-            self.vdd,
-            &self.sim,
-            self.c_bitline,
-            self.c_node,
-        )?;
+        check_bindable(&self.frozen, params)?;
         self.topo.bind_devices(&mut self.compiled, params);
         Ok(())
     }
@@ -465,8 +439,8 @@ impl WriteExperiment {
                 "pulse width must be positive, got {pulse_width}"
             )));
         }
-        let sim = self.sim;
-        let vdd = self.vdd;
+        let sim = self.frozen.sim;
+        let vdd = self.frozen.vdd;
         let t_bl = sim.t_settle;
         let t_wl_on = t_bl + BL_TO_WL_DELAY;
         let t_wl_off = t_wl_on + pulse_width;
@@ -631,12 +605,10 @@ impl ReadRun {
 pub struct ReadExperiment {
     compiled: CompiledCircuit,
     nodes: CellNodes,
-    topo: CellTopology,
-    kind: CellKind,
-    vdd: f64,
-    sim: SimOptions,
-    c_bitline: f64,
-    c_node: f64,
+    /// The cell the circuit was compiled from (see `check_bindable`).
+    frozen: CellParams,
+    /// `frozen`'s resolved topology, which places and binds the devices.
+    topo: Arc<CellTopology>,
     t_wl_on: f64,
     t_wl_off: f64,
     t_end: f64,
@@ -646,36 +618,22 @@ pub struct ReadExperiment {
 }
 
 impl ReadExperiment {
-    /// Compiles the `q = 0` read experiment for `params`.
+    /// Compiles the `q = 0` read experiment for `params`, wired as its
+    /// topology.
     ///
     /// Bitlines float on `c_bitline` from their precharge level;
     /// inward/CMOS cells precharge high (the cell discharges the `q`-side
     /// line), outward cells precharge low (the cell charges the `qb`-side
-    /// line), and the 7T cell senses its dedicated read bitline through the
-    /// read buffer without touching the storage nodes.
+    /// line). A read-port topology (the 7T cell, an imported 9T) senses its
+    /// dedicated read bitline through the read buffer with the write port
+    /// quiescent, without touching the storage nodes.
     ///
     /// # Errors
     ///
     /// Invalid parameters and structurally bad netlists.
     pub fn compile(params: &CellParams, assist: Option<ReadAssist>) -> Result<Self, SramError> {
-        Self::compile_on(&CellTopology::builtin(params.kind), params, assist)
-    }
-
-    /// [`compile`](Self::compile) for an explicit topology — the entry
-    /// point for cells that exist only as an imported `.subckt`. A
-    /// read-port topology reads through its `rbl`/`rwl` buffer with the
-    /// write port quiescent; everything else reads differentially on
-    /// floating bitlines.
-    ///
-    /// # Errors
-    ///
-    /// Invalid parameters and structurally bad netlists.
-    pub fn compile_on(
-        topo: &CellTopology,
-        params: &CellParams,
-        assist: Option<ReadAssist>,
-    ) -> Result<Self, SramError> {
         params.validate()?;
+        let topo = params.cell_topology();
         let vdd = params.vdd;
         let sim = params.sim;
         let access = topo.access();
@@ -789,12 +747,8 @@ impl ReadExperiment {
         Ok(ReadExperiment {
             compiled,
             nodes,
-            topo: topo.clone(),
-            kind: params.kind,
-            vdd,
-            sim,
-            c_bitline: params.c_bitline,
-            c_node: params.c_node,
+            frozen: params.clone(),
+            topo,
             t_wl_on,
             t_wl_off,
             t_end,
@@ -809,7 +763,7 @@ impl ReadExperiment {
     /// family, β rules), not the wiring — see
     /// [`topology`](Self::topology) for the wiring.
     pub fn kind(&self) -> CellKind {
-        self.kind
+        self.frozen.kind
     }
 
     /// The cell topology this experiment was compiled on.
@@ -819,7 +773,7 @@ impl ReadExperiment {
 
     /// The frozen simulation options (timing, tolerances).
     pub fn sim(&self) -> &SimOptions {
-        &self.sim
+        &self.frozen.sim
     }
 
     /// Cumulative solver effort across every run of this experiment — the
@@ -832,21 +786,15 @@ impl ReadExperiment {
 
     /// Retargets the compiled experiment at a different cell of the same
     /// topology: rebinds every transistor model and width from `params`.
-    /// The frozen supply, timing and capacitances must match.
+    /// The frozen kind, topology, supply, timing and capacitances must
+    /// match.
     ///
     /// # Errors
     ///
     /// [`SramError::InvalidParameter`] for invalid parameters or a cell the
     /// frozen circuit cannot represent.
     pub fn bind_cell(&mut self, params: &CellParams) -> Result<(), SramError> {
-        check_bindable(
-            params,
-            self.kind,
-            self.vdd,
-            &self.sim,
-            self.c_bitline,
-            self.c_node,
-        )?;
+        check_bindable(&self.frozen, params)?;
         self.topo.bind_devices(&mut self.compiled, params);
         Ok(())
     }
@@ -859,9 +807,9 @@ impl ReadExperiment {
     pub fn run(&mut self) -> Result<ReadRun, SramError> {
         let _span = tfet_obs::span("read");
         let result = self.compiled.run(
-            &self.sim.spec(self.t_end),
+            &self.frozen.sim.spec(self.t_end),
             &self.initial,
-            if self.sim.early_exit {
+            if self.frozen.sim.early_exit {
                 &self.events
             } else {
                 &[]
@@ -1103,5 +1051,36 @@ mod tests {
             exp.bind_cell(&other_kind),
             Err(SramError::InvalidParameter(_))
         ));
+
+        // Same kind, different wiring: the frozen circuit cannot absorb it.
+        let outward = CellTopology::builtin(CellKind::Tfet6T(AccessConfig::OutwardN));
+        let other_topo = p.clone().with_topology(outward);
+        let mut read = ReadExperiment::compile(&p, None).unwrap();
+        assert!(matches!(
+            exp.bind_cell(&other_topo),
+            Err(SramError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            read.bind_cell(&other_topo),
+            Err(SramError::InvalidParameter(_))
+        ));
+        // A re-sized clone of the compiled cell still binds, and so does
+        // the explicit form of its built-in topology.
+        exp.bind_cell(&p.clone().with_beta(0.8)).unwrap();
+        read.bind_cell(&p.clone().with_beta(0.8)).unwrap();
+        let explicit = p.clone().with_topology(CellTopology::builtin(p.kind));
+        exp.bind_cell(&explicit).unwrap();
+        read.bind_cell(&explicit).unwrap();
+
+        // An experiment compiled on an explicit topology rejects the other
+        // wiring too, and binds clones of its own cell.
+        let mut on_topo = WriteExperiment::compile(&other_topo, None).unwrap();
+        assert!(matches!(
+            on_topo.bind_cell(&p),
+            Err(SramError::InvalidParameter(_))
+        ));
+        on_topo
+            .bind_cell(&other_topo.clone().with_beta(0.8))
+            .unwrap();
     }
 }

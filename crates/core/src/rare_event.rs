@@ -64,7 +64,6 @@ use crate::montecarlo::{
 };
 use crate::ops::{ReadExperiment, WriteExperiment};
 use crate::tech::{CellParams, CellProcess, Role};
-use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use tfet_devices::ProcessPoint;
 use tfet_numerics::{gaussian_mass_within, WeightedSummary};
@@ -532,13 +531,12 @@ pub fn yield_write(
         )));
     }
     let _span = tfet_obs::span("yield_write");
-    let topo = CellTopology::builtin(base.kind);
-    let hint = nominal_hint(&topo, base, assist);
+    let hint = nominal_hint(base, assist);
     let samples = run_samples(
         base,
         cfg,
         "yield_sample_write",
-        |params| WriteExperiment::compile_on(&topo, params, assist),
+        |params| WriteExperiment::compile(params, assist),
         WriteExperiment::bind_cell,
         |exp| {
             let run = wl_crit_compiled(exp, hint)?;
@@ -584,12 +582,11 @@ pub fn yield_read(
         )));
     }
     let _span = tfet_obs::span("yield_read");
-    let topo = CellTopology::builtin(base.kind);
     let samples = run_samples(
         base,
         cfg,
         "yield_sample_read",
-        |params| ReadExperiment::compile_on(&topo, params, assist),
+        |params| ReadExperiment::compile(params, assist),
         ReadExperiment::bind_cell,
         |exp| {
             let drnm = read_metrics_compiled(exp)?.drnm;
@@ -694,7 +691,7 @@ fn publish_study(study: &'static str, cfg: &YieldConfig, result: &YieldStudy) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montecarlo::mc_drnm_topo;
+    use crate::montecarlo::mc_drnm_with;
     use crate::tech::AccessConfig;
     use tfet_numerics::Summary;
 
@@ -777,8 +774,7 @@ mod tests {
         let n = 6;
         let cfg = YieldConfig::new(n, 77);
         let study = yield_read(&base, None, -1.0, &cfg).expect("study runs");
-        let topo = CellTopology::builtin(base.kind);
-        let mc = mc_drnm_topo(&topo, &base, None, n, cfg.mc).expect("mc runs");
+        let mc = mc_drnm_with(&base, None, n, cfg.mc).expect("mc runs");
         let summary = study.metric_summary.expect("all samples finite");
         let reference = Summary::of(&mc.values);
         assert_eq!(summary.n, n);

@@ -8,6 +8,7 @@
 //! inward p-type survives the static-power and writeability screens.
 
 use crate::error::SramError;
+use crate::topology::CellTopology;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tfet_devices::model::{DeviceKind, DeviceModel};
@@ -391,6 +392,12 @@ impl Default for SimOptions {
 pub struct CellParams {
     /// Cell topology.
     pub kind: CellKind,
+    /// Optional explicit cell wiring (see [`CellParams::with_topology`]).
+    /// `None` places the built-in generator for `kind`; `Some` places an
+    /// imported `.subckt` instead, and `kind` then only selects the
+    /// parameterization (model family, β rules). Shared behind an [`Arc`]
+    /// so per-sample clones stay allocation-free.
+    pub topology: Option<Arc<CellTopology>>,
     /// Transistor sizing.
     pub sizing: CellSizing,
     /// Supply voltage, V.
@@ -430,6 +437,7 @@ impl CellParams {
     pub fn new(kind: CellKind) -> Self {
         CellParams {
             kind,
+            topology: None,
             sizing: CellSizing::default(),
             vdd: 0.8,
             c_bitline: 20e-15,
@@ -470,6 +478,36 @@ impl CellParams {
     pub fn with_sim(mut self, sim: SimOptions) -> Self {
         self.sim = sim;
         self
+    }
+
+    /// Wires the cell as an explicit (typically deck-imported) topology
+    /// instead of the built-in generator for `kind` (builder style). Every
+    /// experiment — hold, write, read, `WL_crit`, sweeps, Monte-Carlo,
+    /// yield, arrays — then places and binds this topology.
+    pub fn with_topology(mut self, topology: CellTopology) -> Self {
+        self.topology = Some(Arc::new(topology));
+        self
+    }
+
+    /// The effective cell topology: the explicit one, or the built-in
+    /// generator for `kind`.
+    pub(crate) fn cell_topology(&self) -> Arc<CellTopology> {
+        match &self.topology {
+            Some(topo) => Arc::clone(topo),
+            None => Arc::new(CellTopology::builtin(self.kind)),
+        }
+    }
+
+    /// Whether `self` and `other` place the same wiring. Shared topologies
+    /// compare by pointer first, so clones of one base cell never pay a
+    /// structural compare; a built-in topology equals `None` of its kind.
+    pub(crate) fn same_topology(&self, other: &CellParams) -> bool {
+        match (&self.topology, &other.topology) {
+            (None, None) => self.kind == other.kind,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Some(t), None) => t.kind() == Some(other.kind),
+            (None, Some(t)) => t.kind() == Some(self.kind),
+        }
     }
 
     /// Serves devices from the shared compiled-LUT corner cache instead of

@@ -65,7 +65,7 @@ use tfet_devices::{DeviceModel, Polarity};
 /// [`Role`] (which selects the variation stream and the width rule), its
 /// polarity, and its index in the placed circuit's device vector (the
 /// stamp order, which is also the bind order).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSlot {
     /// Instance name (builder name for builtin cells, deck name for
     /// imported ones).
@@ -100,7 +100,7 @@ enum NodeRef {
 /// A device of an imported cell with its terminals resolved to canonical
 /// references. Stored in slot order; the instance name lives on the
 /// matching [`DeviceSlot`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DeckDevice {
     d: NodeRef,
     g: NodeRef,
@@ -108,7 +108,7 @@ struct DeckDevice {
 }
 
 /// A kept (non-absorbed) resistor or capacitor of an imported cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DeckTwoTerminal {
     a: NodeRef,
     b: NodeRef,
@@ -116,7 +116,7 @@ struct DeckTwoTerminal {
 }
 
 /// The placement recipe of an imported cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DeckCell {
     /// The original definition (kept for re-export).
     subckt: Subckt,
@@ -129,7 +129,7 @@ struct DeckCell {
 }
 
 /// Where a topology came from — and therefore how it places.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum TopoSource {
     /// A built-in generator; placement delegates to [`crate::cell`].
     Builtin(CellKind),
@@ -139,7 +139,7 @@ enum TopoSource {
 
 /// A cell topology as data: ports, device slots with roles, access
 /// orientation, read-port flag. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellTopology {
     source: TopoSource,
     name: String,

@@ -3,7 +3,10 @@
 //! The SPICE decks under `examples/decks/` are first-class cell
 //! definitions: importing one must reproduce the built-in generator
 //! bit-for-bit (6T, 7T), and a cell that exists *only* as a deck (the
-//! 9T) must run write/read/WL_crit with no topology-specific Rust.
+//! 9T) must run write/read/WL_crit with no topology-specific Rust. A deck
+//! cell is an ordinary `CellParams` (`with_topology`), so it reaches every
+//! study — static power, Monte-Carlo, yield, arrays — through the same
+//! calls as a built-in one.
 //!
 //! `cell_6t.sp` is the canonical exporter output; regenerate it after an
 //! intentional format change with
@@ -17,7 +20,8 @@ use std::sync::Arc;
 use tfet_circuit::Deck;
 use tfet_devices::model::DeviceModel;
 use tfet_devices::standard_models;
-use tfet_sram::metrics::{read_metrics, read_metrics_on, wl_crit, wl_crit_on};
+use tfet_sram::metrics::{read_metrics, static_power, wl_crit};
+use tfet_sram::montecarlo::mc_drnm_with;
 use tfet_sram::prelude::*;
 
 fn models() -> HashMap<String, Arc<dyn DeviceModel>> {
@@ -53,6 +57,11 @@ fn load_topo(file: &str, cell: &str) -> CellTopology {
         .unwrap_or_else(|| panic!("{file} has no .subckt `{cell}`"));
     CellTopology::from_subckt(sub, &deck.subckts, &models)
         .unwrap_or_else(|e| panic!("importing `{cell}` from {file}: {e}"))
+}
+
+/// The proposed cell wired from the committed 6T deck.
+fn proposed_from_deck() -> CellParams {
+    proposed().with_topology(load_topo("cell_6t.sp", "cell_6t"))
 }
 
 /// The canonical 6T deck text: the builtin cell exported at the proposed
@@ -123,7 +132,7 @@ fn deck_driven_6t_write_is_bit_identical_to_builtin() {
     assert!(!topo.has_read_port());
 
     let params = proposed();
-    let from_deck = wl_crit_on(&topo, &params, None).expect("deck wl_crit");
+    let from_deck = wl_crit(&params.clone().with_topology(topo), None).expect("deck wl_crit");
     let builtin = wl_crit(&params, None).expect("builtin wl_crit");
     let (d, b) = (
         from_deck.as_finite().expect("deck WL_crit finite"),
@@ -138,14 +147,52 @@ fn deck_driven_6t_write_is_bit_identical_to_builtin() {
 fn deck_driven_6t_read_is_bit_identical_to_builtin() {
     let topo = load_topo("cell_6t.sp", "cell_6t");
     let params = proposed();
-    let from_deck =
-        read_metrics_on(&topo, &params, Some(ReadAssist::GndLowering)).expect("deck read");
+    let from_deck = read_metrics(
+        &params.clone().with_topology(topo),
+        Some(ReadAssist::GndLowering),
+    )
+    .expect("deck read");
     let builtin = read_metrics(&params, Some(ReadAssist::GndLowering)).expect("builtin read");
     assert_eq!(from_deck.drnm.to_bits(), builtin.drnm.to_bits());
     assert_eq!(
         from_deck.read_delay.map(f64::to_bits),
         builtin.read_delay.map(f64::to_bits)
     );
+}
+
+#[test]
+fn deck_driven_6t_static_power_is_bit_identical_to_builtin() {
+    let params = proposed();
+    let deck = proposed_from_deck();
+    let from_deck = static_power(&deck).expect("deck static power");
+    let builtin = static_power(&params).expect("builtin static power");
+    assert_eq!(from_deck.to_bits(), builtin.to_bits());
+}
+
+#[test]
+fn deck_driven_6t_monte_carlo_is_bit_identical_to_builtin() {
+    let params = proposed();
+    let deck = proposed_from_deck();
+    let config = McConfig::new(2011);
+    let from_deck = mc_drnm_with(&deck, None, 4, config).expect("deck MC");
+    let builtin = mc_drnm_with(&params, None, 4, config).expect("builtin MC");
+    assert_eq!(from_deck.values.len(), 4);
+    assert!(from_deck.quarantined.is_empty() && builtin.quarantined.is_empty());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&from_deck.values), bits(&builtin.values));
+}
+
+#[test]
+fn deck_driven_6t_yield_is_bit_identical_to_builtin() {
+    let params = proposed();
+    let deck = proposed_from_deck();
+    let cfg = YieldConfig::new(4, 2011);
+    let from_deck = yield_write(&deck, None, 500e-12, &cfg).expect("deck yield");
+    let builtin = yield_write(&params, None, 500e-12, &cfg).expect("builtin yield");
+    assert_eq!(from_deck.survivors, 4);
+    // Debug prints every float in its shortest round-trip form, so equal
+    // text is equal bits.
+    assert_eq!(format!("{from_deck:?}"), format!("{builtin:?}"));
 }
 
 #[test]
@@ -159,13 +206,14 @@ fn handwritten_7t_deck_matches_builtin_7t() {
     // Despite scrambled card order and different instance names, the deck
     // places the same circuit, so metrics agree to the bit.
     let params = fast(CellParams::new(CellKind::Tfet7T));
-    let from_deck = wl_crit_on(&topo, &params, None).expect("deck 7T wl_crit");
+    let deck = params.clone().with_topology(topo);
+    let from_deck = wl_crit(&deck, None).expect("deck 7T wl_crit");
     let builtin = wl_crit(&params, None).expect("builtin 7T wl_crit");
     assert_eq!(
         from_deck.as_finite().map(f64::to_bits),
         builtin.as_finite().map(f64::to_bits)
     );
-    let read_deck = read_metrics_on(&topo, &params, None).expect("deck 7T read");
+    let read_deck = read_metrics(&deck, None).expect("deck 7T read");
     let read_builtin = read_metrics(&params, None).expect("builtin 7T read");
     assert_eq!(read_deck.drnm.to_bits(), read_builtin.drnm.to_bits());
 }
@@ -191,12 +239,12 @@ fn deck_only_9t_runs_write_read_wl_crit() {
         .collect();
     assert_eq!(aux.len(), 3, "stacked read buffer + keeper");
 
-    let params = proposed();
-    let w = wl_crit_on(&topo, &params, None).expect("9T wl_crit");
+    let params = proposed().with_topology(topo);
+    let w = wl_crit(&params, None).expect("9T wl_crit");
     let w = w.as_finite().expect("9T write succeeds");
     assert!(w > 0.0 && w < params.sim.max_pulse);
 
-    let read = read_metrics_on(&topo, &params, None).expect("9T read");
+    let read = read_metrics(&params, None).expect("9T read");
     assert!(
         read.drnm > 0.2 * params.vdd,
         "decoupled read port should leave storage nodes near-undisturbed, got {} V",
@@ -210,7 +258,7 @@ fn array_accepts_deck_topology_and_matches_builtin() {
     let mut cell = proposed();
     cell.sim.max_pulse = 2e-9;
 
-    let mut from_deck = ArrayNetlist::build(ArraySpec::new(2, 2, cell.clone()).with_topology(topo))
+    let mut from_deck = ArrayNetlist::build(ArraySpec::new(2, 2, cell.clone().with_topology(topo)))
         .expect("deck-topology array builds");
     let mut builtin = ArrayNetlist::build(ArraySpec::new(2, 2, cell)).expect("builtin array");
 
@@ -240,9 +288,11 @@ fn array_accepts_deck_topology_and_matches_builtin() {
 #[test]
 fn array_rejects_read_port_topologies() {
     let topo = load_topo("cell_7t.sp", "cell_7t");
-    let err = ArrayNetlist::build(
-        ArraySpec::new(2, 2, fast(CellParams::new(CellKind::Tfet7T))).with_topology(topo),
-    )
+    let err = ArrayNetlist::build(ArraySpec::new(
+        2,
+        2,
+        fast(CellParams::new(CellKind::Tfet7T)).with_topology(topo),
+    ))
     .expect_err("no rbl/rwl columns in the array netlist");
     assert!(err.to_string().contains("read-port"));
 }

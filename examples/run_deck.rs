@@ -1,9 +1,11 @@
 //! Run the standard cell experiments on a SPICE-deck-defined topology.
 //!
 //! Imports a `.subckt` cell definition from a deck file, classifies its
-//! devices into roles by connectivity, and drives the same compiled
+//! devices into roles by connectivity, attaches the topology to the cell
+//! parameters (`CellParams::with_topology`), and drives the same compiled
 //! write/read/WL_crit experiments the built-in cells use — no Rust
-//! topology code required for new cell variants.
+//! topology code required for new cell variants. One compiled write
+//! experiment serves both the WL_crit search and the verifying write.
 //!
 //! Run with:
 //!   `cargo run --release --example run_deck -- [DECK] [--cell NAME]`
@@ -15,7 +17,7 @@
 
 use tfet_circuit::Deck;
 use tfet_devices::standard_models;
-use tfet_sram::metrics::{read_metrics_on, wl_crit_on, WlCrit};
+use tfet_sram::metrics::{read_metrics, wl_crit_compiled, WlCrit};
 use tfet_sram::prelude::*;
 
 fn main() -> Result<(), SramError> {
@@ -94,17 +96,18 @@ fn main() -> Result<(), SramError> {
         );
     }
 
-    let read = read_metrics_on(&topo, &params, None)?;
+    let params = params.with_topology(topo);
+    let read = read_metrics(&params, None)?;
     println!("DRNM              : {:10.1} mV", read.drnm * 1e3);
     match read.read_delay {
         Some(d) => println!("read delay (50 mV): {:10.1} ps", d * 1e12),
         None => println!("read delay        : sense signal did not develop"),
     }
 
-    match wl_crit_on(&topo, &params, None)? {
+    let mut exp = WriteExperiment::compile(&params, None)?;
+    match wl_crit_compiled(&mut exp, None)?.value {
         WlCrit::Finite(w) => {
             println!("WL_crit           : {:10.1} ps", w * 1e12);
-            let mut exp = WriteExperiment::compile_on(&topo, &params, None)?;
             let run = exp.run(2.0 * w)?;
             match (run.flipped(), run.write_delay()) {
                 (true, Some(d)) => {

@@ -97,6 +97,18 @@ if ! grep -q "430.8 ps" <<<"$run_deck_out"; then
 fi
 echo "run_deck: WL_crit 430.8 ps reproduced from examples/decks/cell_6t.sp"
 
+echo "== run_deck deck-only cell (9T exists only as examples/decks/cell_9t.sp) =="
+# No CellKind and no builder code: the 9T reaches the WL_crit search only
+# through CellParams::with_topology, end to end.
+run_deck_9t_out="$(cargo run -q --release --offline -p tfet-sram --example run_deck -- \
+  examples/decks/cell_9t.sp)"
+if ! grep -qE "^WL_crit +: +493\.2 ps$" <<<"$run_deck_9t_out"; then
+  echo "run_deck lost the 9T deck's 493.2 ps WL_crit:"
+  echo "$run_deck_9t_out"
+  exit 1
+fi
+echo "run_deck: WL_crit 493.2 ps reproduced from examples/decks/cell_9t.sp"
+
 echo "== sram_array smoke (4x4 array netlist: writes, disturbs, read-back) =="
 # The example asserts that every write lands with no disturbed cell, that
 # no read is destructive, and that the pattern reads back with zero errors.

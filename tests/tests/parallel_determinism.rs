@@ -4,7 +4,7 @@
 //! only — never of the worker-thread count or of scheduling. Every
 //! comparison here is exact (`Vec<f64>` equality), not approximate.
 
-use tfet_sram::metrics::{wl_crit, wl_crit_seeded, WlCrit};
+use tfet_sram::metrics::{wl_crit, wl_crit_compiled, WlCrit};
 use tfet_sram::montecarlo::{mc_drnm_with, mc_wl_crit_with, McConfig};
 use tfet_sram::ops::run_write;
 use tfet_sram::prelude::*;
@@ -31,7 +31,8 @@ fn serial_reference_wl_crit(base: &CellParams) -> (Vec<f64>, usize) {
     for i in 0..N {
         let process = VariationModel::paper().sample(&cfg, i, base.vdd).unwrap();
         let params = base.clone().with_process(process);
-        match wl_crit_seeded(&params, None, hint).unwrap().value {
+        let mut exp = WriteExperiment::compile(&params, None).unwrap();
+        match wl_crit_compiled(&mut exp, hint).unwrap().value {
             WlCrit::Finite(w) => values.push(w),
             WlCrit::Infinite => failures += 1,
             WlCrit::Unbracketable => panic!("healthy reference cell must bracket"),
@@ -144,7 +145,8 @@ fn seeded_wl_crit_matches_unseeded_across_beta_grid() {
     for beta in [0.4, 0.6, 0.8, 1.0] {
         let params = base.clone().with_beta(beta);
         let cold = wl_crit(&params, None).unwrap();
-        let seeded = wl_crit_seeded(&params, None, hint).unwrap().value;
+        let mut exp = WriteExperiment::compile(&params, None).unwrap();
+        let seeded = wl_crit_compiled(&mut exp, hint).unwrap().value;
         match (cold, seeded) {
             (WlCrit::Finite(a), WlCrit::Finite(b)) => {
                 assert!(
